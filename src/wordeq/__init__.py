@@ -15,7 +15,7 @@ from .core import (
     prepend_var,
 )
 from .graph import SAT, UNKNOWN, UNSAT, Budget, build, to_dot, verdict
-from .oracle import brute_sat, brute_solutions, gen_instance
+from .oracle import brute_solutions, gen_instance
 from .parse import parse_program, parse_system, serialize_program, serialize_system
 from .rewrite import Scheme, simplify
 from .solutions import Solution, enumerate_solutions, extract_program, min_witness, path_solution
@@ -35,7 +35,6 @@ __all__ = [
     "UNSAT",
     "apply_to_state",
     "apply_to_word",
-    "brute_sat",
     "brute_solutions",
     "build",
     "classify",

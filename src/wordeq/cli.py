@@ -12,7 +12,7 @@ import csv
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from . import oracle as oraclemod
 from .core import Equation
@@ -56,10 +56,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     elapsed_ms = int((time.monotonic() - started) * 1000)
     result = verdict(outcome)
     print(result)
-    print(
-        f"nodes={len(outcome.graph.nodes)} depth={outcome.graph.max_depth()} "
-        f"time_ms={elapsed_ms}"
-    )
+    graph = outcome.graph
+    line = f"nodes={len(graph.nodes)} depth={graph.max_depth()} time_ms={elapsed_ms}"
+    if outcome.reason:
+        line += f" reason={outcome.reason}"
+    print(line)
     if result == SAT:
         witness = min_witness(outcome.graph)
         assert witness is not None
@@ -141,8 +142,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with ERROR_EXIT on usage errors; argparse's own 2 is UNKNOWN's
+    code.  Subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(ERROR_EXIT, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wordeq", description=__doc__)
+    parser = _Parser(prog="wordeq", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("solve", help="decide satisfiability of an .eq file")

@@ -36,10 +36,6 @@ def variables_of(w: Word) -> frozenset:
     return frozenset(c for c in w if c.islower())
 
 
-def letters_of(w: Word) -> frozenset:
-    return frozenset(c for c in w if c.isupper())
-
-
 class Equation(NamedTuple):
     lhs: Word
     rhs: Word
@@ -52,7 +48,7 @@ class Equation(NamedTuple):
         return variables_of(self.lhs) | variables_of(self.rhs)
 
     def letters(self) -> frozenset:
-        return letters_of(self.lhs) | letters_of(self.rhs)
+        return frozenset(c for c in self.lhs + self.rhs if c.isupper())
 
 
 EMPTY_EQUATION = Equation("", "")
@@ -222,7 +218,6 @@ class EquationClass:
     quadratic: bool
     strictly_regular_ordered_rep: bool
     one_variable: bool
-    linear: bool
 
 
 def classify(e: Equation) -> EquationClass:
@@ -232,5 +227,4 @@ def classify(e: Equation) -> EquationClass:
         quadratic=all(k <= 2 for k in counts.values()),
         strictly_regular_ordered_rep=erase_letters(e.lhs) == erase_letters(e.rhs),
         one_variable=len(counts) <= 1,
-        linear=all(k <= 1 for k in counts.values()),
     )

@@ -51,12 +51,20 @@ class Node:
 class SolutionGraph:
     root: int
     nodes: List[Node]
-    tree_edges: List[Tuple[int, Narrowing, int]]
-    back_edges: List[Tuple[int, int]]
     system: Tuple[Equation, ...]
     scheme: Scheme
     children: Dict[int, List[Tuple[Narrowing, int]]] = field(default_factory=dict)
     fold_target: Dict[int, int] = field(default_factory=dict)
+
+    @property
+    def tree_edges(self) -> List[Tuple[int, Narrowing, int]]:
+        """(parent, narrowing, child) triples in expansion order."""
+        return [(parent, n, child) for parent, out in self.children.items() for n, child in out]
+
+    @property
+    def back_edges(self) -> List[Tuple[int, int]]:
+        """(folded node, target) pairs in fold order."""
+        return list(self.fold_target.items())
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
@@ -71,12 +79,6 @@ class SolutionGraph:
 
     def t_leaves(self) -> List[Node]:
         return [n for n in self.nodes if n.kind == TLEAF]
-
-    def f_leaves(self) -> List[Node]:
-        return [n for n in self.nodes if n.kind == FLEAF]
-
-    def folded_nodes(self) -> List[Node]:
-        return [self.nodes[src] for src, _ in self.back_edges]
 
     def internal_nodes(self) -> List[Node]:
         """Expanded internal nodes, i.e. those with outgoing tree edges."""
@@ -124,37 +126,32 @@ def build(
 
     root_label = simplify(scheme, SystemState.of(system))
     nodes = [Node(0, root_label, _kind_of(root_label), 0)]
-    graph = SolutionGraph(0, nodes, [], [], tuple(system), scheme)
+    graph = SolutionGraph(0, nodes, tuple(system), scheme)
     reason: Optional[str] = None
     halted = False
 
     ENTER, EXIT = 0, 1
     stack: List[Tuple[int, object]] = [(ENTER, 0)]
-    on_path: Dict[SystemState, int] = {}
-    memo: Dict[SystemState, int] = {}
+    # Labels a node may fold to: those on its path (ancestor mode), or
+    # those of every node visited before it (memo mode).
+    fold_to: Dict[SystemState, int] = {}
+    ancestor = fold == FOLD_ANCESTOR
 
     while stack:
         op, arg = stack.pop()
         if op == EXIT:
-            del on_path[arg]
+            del fold_to[arg]
             continue
         node = nodes[arg]
         if node.kind != INTERNAL:
             continue
         label = node.label
-        if fold == FOLD_ANCESTOR:
-            target = on_path.get(label)
-            if target is not None:
-                graph.back_edges.append((node.id, target))
-                graph.fold_target[node.id] = target
-                continue
-        else:
-            target = memo.get(label)
-            if target is not None:
-                graph.back_edges.append((node.id, target))
-                graph.fold_target[node.id] = target
-                continue
-            memo[label] = node.id
+        target = fold_to.get(label)
+        if target is not None:
+            graph.fold_target[node.id] = target
+            continue
+        if not ancestor:
+            fold_to[label] = node.id
         if halted:
             reason = reason or "early_stop"
             continue
@@ -173,19 +170,18 @@ def build(
             halted = True
             reason = reason or "max_nodes"
             continue
-        children: List[int] = []
+        children = graph.children[node.id] = []
         for n in narrowings:
             child_label = step(label, n, scheme)
             child = Node(len(nodes), child_label, _kind_of(child_label), node.depth + 1)
             nodes.append(child)
-            graph.tree_edges.append((node.id, n, child.id))
-            graph.children.setdefault(node.id, []).append((n, child.id))
-            children.append(child.id)
+            children.append((n, child.id))
             if early_stop and child.kind == TLEAF:
                 halted = True
-        on_path[label] = node.id
-        stack.append((EXIT, label))
-        for child_id in reversed(children):
+        if ancestor:
+            fold_to[label] = node.id
+            stack.append((EXIT, label))
+        for _, child_id in reversed(children):
             stack.append((ENTER, child_id))
 
     return BuildOutcome(graph, complete=reason is None, reason=reason)
@@ -224,12 +220,14 @@ def to_dot(graph: SolutionGraph, prune: bool = False) -> str:
     With ``prune``, nodes from which no accepting leaf is reachable are
     dropped for readability.
     """
+    tree_edges = graph.tree_edges
+    back_edges = graph.back_edges
     keep = set(range(len(graph.nodes)))
     if prune:
         reverse: Dict[int, List[int]] = {}
-        for parent, _, child in graph.tree_edges:
+        for parent, _, child in tree_edges:
             reverse.setdefault(child, []).append(parent)
-        for src, dst in graph.back_edges:
+        for src, dst in back_edges:
             reverse.setdefault(dst, []).append(src)
         keep = {n.id for n in graph.t_leaves()}
         frontier = list(keep)
@@ -243,10 +241,10 @@ def to_dot(graph: SolutionGraph, prune: bool = False) -> str:
     for node in graph.nodes:
         if node.id in keep:
             lines.append(_node_dot(node))
-    for parent, narrowing, child in graph.tree_edges:
+    for parent, narrowing, child in tree_edges:
         if parent in keep and child in keep:
             lines.append(f'  n{parent} -> n{child} [label="{narrowing}"];')
-    for src, dst in graph.back_edges:
+    for src, dst in back_edges:
         if src in keep and dst in keep:
             lines.append(f"  n{src} -> n{dst} [style=dashed];")
     lines.append("}")

@@ -13,20 +13,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .core import (
-    ACCEPTED,
-    CONTRADICTION,
-    Equation,
-    Narrowing,
-    SystemState,
-    apply_to_state,
-    apply_to_word,
-    eps,
-    is_var,
-    prepend_letter,
-    prepend_var,
-)
-from .rewrite import Scheme, simplify, simplify_equation
+from .core import Narrowing, SystemState, eps, is_var, prepend_letter, prepend_var
+from .rewrite import Scheme, _unfold
 
 
 def compatible_narrowings(s: SystemState) -> Tuple[Narrowing, ...]:
@@ -67,21 +55,4 @@ def step(s: SystemState, n: Narrowing, scheme: Scheme) -> SystemState:
     the touched ones are reworked; the result equals simplifying the
     substituted state wholesale.
     """
-    if scheme is Scheme.BASE:
-        return simplify(scheme, apply_to_state(n, s))
-    if not s.is_eqs:
-        raise ValueError(f"cannot substitute into a {s.kind.value} state")
-    var = n.var
-    out = []
-    for eq in s.equations:
-        if var not in eq.lhs and var not in eq.rhs:
-            out.append(eq)
-            continue
-        substituted = Equation(apply_to_word(n, eq.lhs), apply_to_word(n, eq.rhs))
-        pieces = simplify_equation(scheme, substituted)
-        if pieces is None:
-            return CONTRADICTION
-        out.extend(pieces)
-    if not out:
-        return ACCEPTED
-    return SystemState.of(out)
+    return _unfold(scheme, s, n)

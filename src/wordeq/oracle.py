@@ -56,15 +56,6 @@ def brute_solutions(
     return out
 
 
-def brute_sat(system: Sequence[Equation], alphabet: Sequence[str], max_value_len: int) -> bool:
-    names = system_variables(system)
-    words = ground_words(alphabet, max_value_len)
-    for values in product(words, repeat=len(names)):
-        if satisfies(system, dict(zip(names, values))):
-            return True
-    return False
-
-
 VARIABLE_POOL = "xyzuvw"
 
 

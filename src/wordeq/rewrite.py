@@ -6,7 +6,8 @@ Three schemes are supported.  ``BASE`` only reduces (and therefore handles
 a single equation), ``SPLIT`` additionally splits every equation on its
 shortest var-permutated prefixes, and ``COUNT`` also splits the remainder
 on var-permutated suffixes and then applies the counting check to every
-resulting equation.
+resulting equation.  One per-equation loop serves both the root
+simplification and the unfold step of ``narrow.step``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from .core import (
     CONTRADICTION,
     EMPTY_EQUATION,
     Equation,
+    Narrowing,
     SystemState,
+    apply_to_word,
     is_letter,
-    is_var,
     letter_count,
 )
 
@@ -131,59 +133,33 @@ def right_split(e: Equation) -> Optional[Tuple[Equation, Equation]]:
     return remainder, suffix
 
 
-def exhaustive_left_split(e: Equation) -> Optional[List[Equation]]:
-    """Left-split repeatedly, reducing the remainder after each split.
+def _split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
+    """Split repeatedly, reducing the remainder after each split.
 
-    Returns the pieces as ``[final remainder, prefix_1, ..., prefix_k]``,
-    or ``None`` when reducing some remainder hits a contradiction.
-    ``e`` must be reduced.
-    """
-    prefixes: List[Equation] = []
-    cur = e
-    while True:
-        split = left_split(cur)
-        if split is None:
-            break
-        prefix, remainder = split
-        prefixes.append(prefix)
-        reduced = reduce(remainder)
-        if reduced is None:
-            return None
-        cur = reduced
-    return [cur] + prefixes
-
-
-def _split_both_ways(e: Equation) -> Optional[Tuple[Equation, List[Equation], List[Equation]]]:
-    """Alternate left and right splits to a fixpoint, reducing in between.
-
-    Returns ``(core, suffixes, prefixes)`` in discovery order, or ``None``
-    on contradiction.  Left splits take priority and are retried after
-    every right split, so the core has no var-permutated prefixes or
-    suffixes at all.
+    ``BASE`` splits nothing, ``SPLIT`` makes left splits only, and
+    ``COUNT`` alternates left and right splits to a fixpoint, left splits
+    taking priority and being retried after every right split.  Returns
+    the pieces as ``[core] + suffixes + prefixes`` in discovery order, or
+    ``None`` when reducing some remainder hits a contradiction.  ``e`` must
+    be reduced.
     """
     prefixes: List[Equation] = []
     suffixes: List[Equation] = []
     cur = e
-    while True:
+    while scheme is not Scheme.BASE:
         split = left_split(cur)
         if split is not None:
             prefix, remainder = split
             prefixes.append(prefix)
-            reduced = reduce(remainder)
-            if reduced is None:
-                return None
-            cur = reduced
-            continue
-        split = right_split(cur)
-        if split is not None:
+        elif scheme is Scheme.COUNT and (split := right_split(cur)) is not None:
             remainder, suffix = split
             suffixes.append(suffix)
-            reduced = reduce(remainder)
-            if reduced is None:
-                return None
-            cur = reduced
-            continue
-        return cur, suffixes, prefixes
+        else:
+            break
+        cur = reduce(remainder)
+        if cur is None:
+            return None
+    return [cur] + suffixes + prefixes
 
 
 def _letters_dominated(phi: str, psi: str) -> bool:
@@ -210,47 +186,46 @@ def simplify_equation(scheme: Scheme, eq: Equation) -> Optional[List[Equation]]:
     reduced = reduce(eq)
     if reduced is None:
         return None
-    if scheme is Scheme.SPLIT:
-        pieces = exhaustive_left_split(reduced)
-        if pieces is None:
-            return None
-    else:
-        result = _split_both_ways(reduced)
-        if result is None:
-            return None
-        core, suffixes, prefixes = result
-        pieces = [core] + suffixes + prefixes
+    pieces = _split_pieces(scheme, reduced)
+    if pieces is None:
+        return None
     pieces = [p for p in pieces if p != EMPTY_EQUATION]
     if scheme is Scheme.COUNT and any(count_unsat(p) for p in pieces):
         return None
     return pieces
 
 
-def simplify(scheme: Scheme, s: SystemState) -> SystemState:
-    """Simplify an equation-list state under the given scheme.
+def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing]) -> SystemState:
+    """Simplify ``s``, or with a narrowing, the state it substitutes to.
 
-    The per-equation piece lists are concatenated in the original order;
-    trivial pieces are dropped.  Any contradiction discards the whole list
-    and yields the contradiction state; an empty final list is accepted.
+    With a narrowing, ``s`` must be a simplify output: equations the
+    substitution does not touch are then already simplified and are kept
+    as they are, so only the touched ones are reworked.  The per-equation
+    piece lists are concatenated in the original order.  Any contradiction
+    discards the whole list and yields the contradiction state; an empty
+    final list is accepted.
     """
     if not s.is_eqs:
         raise ValueError(f"cannot simplify a {s.kind.value} state")
-    if scheme is Scheme.BASE:
-        if len(s.equations) != 1:
-            raise ValueError("the base scheme handles exactly one equation")
-        reduced = reduce(s.equations[0])
-        if reduced is None:
-            return CONTRADICTION
-        if reduced == EMPTY_EQUATION:
-            return ACCEPTED
-        return SystemState.of((reduced,))
-
+    if scheme is Scheme.BASE and len(s.equations) != 1:
+        raise ValueError("the base scheme handles exactly one equation")
     out: List[Equation] = []
     for eq in s.equations:
+        if n is not None:
+            if n.var not in eq.lhs and n.var not in eq.rhs:
+                out.append(eq)
+                continue
+            eq = Equation(apply_to_word(n, eq.lhs), apply_to_word(n, eq.rhs))
         pieces = simplify_equation(scheme, eq)
         if pieces is None:
             return CONTRADICTION
         out.extend(pieces)
     if not out:
         return ACCEPTED
-    return SystemState.of(tuple(out))
+    return SystemState.of(out)
+
+
+def simplify(scheme: Scheme, s: SystemState) -> SystemState:
+    """Simplify an equation-list state under the given scheme; trivial
+    equations are dropped."""
+    return _unfold(scheme, s, None)

@@ -23,6 +23,7 @@ from .core import (
     apply_to_word,
     compose_value,
     ground_words,
+    letter_count,
     variables_of,
 )
 from .graph import TLEAF, SolutionGraph
@@ -132,8 +133,11 @@ def enumerate_solutions(
     are pruned: their futures coincide, and breadth-first order means the
     first visit had at least as much path budget left.  Branches whose
     composed letters already exceed the value bound are pruned too, since
-    instantiation never removes letters.
+    instantiation never removes letters.  Negative bounds are rejected
+    with ``ValueError``.
     """
+    if max_value_len < 0 or max_path_len < 0:
+        raise ValueError("enumeration bounds must not be negative")
     variables = sorted(set().union(*(e.variables() for e in graph.system)) if graph.system else ())
     if alphabet is None:
         alphabet = sorted(set().union(*(e.letters() for e in graph.system)) if graph.system else ())
@@ -158,7 +162,7 @@ def enumerate_solutions(
                     succ = (child, values)
                 else:
                     new_values = tuple(apply_to_word(narrowing, v) for v in values)
-                    if any(_letters(v) > max_value_len for v in new_values):
+                    if any(letter_count(v) > max_value_len for v in new_values):
                         continue
                     succ = (child, new_values)
                 if succ not in seen:
@@ -166,10 +170,6 @@ def enumerate_solutions(
                     next_frontier.append(succ)
         frontier = next_frontier
     return solutions
-
-
-def _letters(w: Word) -> int:
-    return sum(1 for c in w if c.isupper())
 
 
 def _instantiate(

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import ACCEPTED, Equation, Narrowing, SystemState, apply_to_state
-from .narrow import compatible_narrowings
+from .core import ACCEPTED, Equation, Narrowing, SystemState
+from .narrow import compatible_narrowings, step
 from .rewrite import Scheme, simplify
 
 
@@ -21,8 +21,8 @@ def verify(p: Iterable[Narrowing], system: Sequence[Equation], scheme: Scheme) -
     """True iff the program is compatible step by step and solves the system.
 
     Compatibility is checked against the same narrowing table the search
-    uses, so verifier and graph agree by construction.  At most one
-    substitution is applied per program step.
+    uses, and each step is the search's own ``step``, so verifier and graph
+    agree by construction.
     """
     if not system:
         state = ACCEPTED
@@ -33,5 +33,5 @@ def verify(p: Iterable[Narrowing], system: Sequence[Equation], scheme: Scheme) -
             return False
         if n not in compatible_narrowings(state):
             return False
-        state = simplify(scheme, apply_to_state(n, state))
+        state = step(state, n, scheme)
     return state.is_accepted

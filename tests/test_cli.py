@@ -1,6 +1,8 @@
 import csv
 import random
 
+import pytest
+
 from wordeq.cli import main
 from wordeq.core import Equation
 from wordeq.oracle import gen_instance
@@ -38,7 +40,18 @@ def test_solve_unknown_on_budget(tmp_path, capsys):
     path = write(tmp_path, "inf.eq", "x x A y B z = A x x z y\n")
     code = main(["solve", path, "--scheme", "base", "--max-nodes", "1000"])
     assert code == 2
-    assert capsys.readouterr().out.splitlines()[0] == "UNKNOWN"
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "UNKNOWN"
+    assert out[1].endswith(" reason=max_nodes")
+
+
+def test_usage_errors_exit_3(tmp_path, capsys):
+    path = write(tmp_path, "fig3b.eq", FIG3B)
+    for argv in (["solve", path, "--scheme", "bogus"], ["solve", path, "--max-nodes", "ten"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "error" in capsys.readouterr().err
 
 
 def test_solve_parse_error(tmp_path, capsys):
@@ -63,6 +76,15 @@ def test_enumerate(tmp_path, capsys):
     # the shortest-path slice keeps only the single-letter assignments
     main(["enumerate", path, "--max-len", "1", "--max-path", "4"])
     assert capsys.readouterr().out.splitlines() == ["x=, y=", "x=, y=A", "x=A, y="]
+
+
+def test_enumerate_negative_bound(tmp_path, capsys):
+    path = write(tmp_path, "comm.eq", "x y = y x\n")
+    code = main(["enumerate", path, "--max-path", "-1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error" in captured.err
 
 
 def test_enumerate_unsat(tmp_path, capsys):

@@ -142,7 +142,7 @@ def test_classify():
     assert flags.strictly_regular_ordered_rep and not flags.quadratic
     ground = classify(Equation("ABAB", "ABAB"))
     assert ground.quadratic and ground.strictly_regular_ordered_rep
-    assert ground.one_variable and ground.linear
+    assert ground.one_variable
 
 
 def test_state_invariants():

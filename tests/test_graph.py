@@ -166,10 +166,12 @@ def _graph_programs(graph, depth):
 )
 def test_folding_preserves_accepted_programs(text, scheme, depths):
     system = parse_system(text)
-    outcome = build(system, scheme, Budget(max_nodes=5000))
-    assert outcome.complete
-    for depth in depths:
-        assert _graph_programs(outcome.graph, depth) == _tree_programs(system, scheme, depth)
+    for fold in ("ancestor", "memo"):
+        outcome = build(system, scheme, Budget(max_nodes=5000), fold=fold)
+        assert outcome.complete
+        for depth in depths:
+            programs = _graph_programs(outcome.graph, depth)
+            assert programs == _tree_programs(system, scheme, depth), fold
 
 
 def test_memo_mode_same_language():

@@ -88,7 +88,8 @@ def test_step_equals_substitute_then_simplify():
             )
             for _ in range(rng.randint(1, 3))
         ]
-        for scheme in (Scheme.SPLIT, Scheme.COUNT):
+        schemes = (Scheme.SPLIT, Scheme.COUNT) + ((Scheme.BASE,) if len(system) == 1 else ())
+        for scheme in schemes:
             parent = simplify(scheme, SystemState.of(system))
             if not parent.is_eqs or not parent.equations:
                 continue

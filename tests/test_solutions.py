@@ -90,6 +90,13 @@ def test_enumerate_commutation():
     }
 
 
+def test_enumerate_rejects_negative_bounds(fig3b):
+    with pytest.raises(ValueError):
+        enumerate_solutions(fig3b.graph, 2, -1)
+    with pytest.raises(ValueError):
+        enumerate_solutions(fig3b.graph, -1, 8)
+
+
 def test_min_witness(fig3b):
     assert min_witness(fig3b.graph) == (eps("x"), eps("y"))
     unsat = build(parse_system("x x A y B z = A x x z y"), Scheme.COUNT)

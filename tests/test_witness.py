@@ -96,13 +96,13 @@ def test_at_most_one_substitution_per_step(monkeypatch):
     import wordeq.witness as witness_module
 
     calls = []
-    original = witness_module.apply_to_state
+    original = witness_module.step
 
-    def counting(n, state):
+    def counting(state, n, scheme):
         calls.append(n)
-        return original(n, state)
+        return original(state, n, scheme)
 
-    monkeypatch.setattr(witness_module, "apply_to_state", counting)
+    monkeypatch.setattr(witness_module, "step", counting)
     system = parse_system("A x y = x y A")
     program = (prepend_letter("x", "A"), eps("x"), eps("y"))
     assert verify(program, system, Scheme.BASE)
