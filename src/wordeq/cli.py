@@ -69,6 +69,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.max_len < 0 or args.max_path < 0:
+        raise ValueError("enumeration bounds must not be negative")
     system = _read_system(args.file)
     outcome = _build(args, system)
     alphabet = list(args.alphabet) if args.alphabet else None

@@ -150,11 +150,6 @@ def prepend_var(x: str, y: str) -> Narrowing:
 Program = Tuple[Narrowing, ...]
 
 
-def count_occurrences(w: Word, t: str) -> int:
-    """Number of positions of ``w`` equal to the term ``t``."""
-    return w.count(t)
-
-
 def letter_count(w: Word) -> int:
     """Number of positions of ``w`` holding letters."""
     return sum(map(str.isupper, w))
@@ -163,17 +158,6 @@ def letter_count(w: Word) -> int:
 def erase_letters(w: Word) -> Word:
     """The subsequence of ``w`` consisting of its variables."""
     return "".join(c for c in w if c.islower())
-
-
-def is_var_permutated(w1: Word, w2: Word) -> bool:
-    """True iff the words have equal length and equal per-variable counts.
-
-    Letters need not match position-wise or even as multisets; with equal
-    lengths the total letter counts agree automatically.
-    """
-    if len(w1) != len(w2):
-        return False
-    return Counter(erase_letters(w1)) == Counter(erase_letters(w2))
 
 
 def apply_to_word(n: Narrowing, w: Word) -> Word:

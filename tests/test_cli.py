@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wordeq import cli
 from wordeq.cli import main
 from wordeq.core import Equation
 from wordeq.oracle import gen_instance
@@ -78,13 +79,19 @@ def test_enumerate(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["x=, y=", "x=, y=A", "x=A, y="]
 
 
-def test_enumerate_negative_bound(tmp_path, capsys):
-    path = write(tmp_path, "comm.eq", "x y = y x\n")
-    code = main(["enumerate", path, "--max-path", "-1"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert "error" in captured.err
+def test_enumerate_negative_bound(tmp_path, capsys, monkeypatch):
+    # the bounds are checked before the graph is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(cli, "_build", no_build)
+    path = write(tmp_path, "triptych.eq", "x x A y B z = A x x z y\n")
+    for flag in ("--max-len", "--max-path"):
+        code = main(["enumerate", path, "--scheme", "base", flag, "-1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "error: enumeration bounds must not be negative" in captured.err
 
 
 def test_enumerate_unsat(tmp_path, capsys):

