@@ -6,7 +6,6 @@ from .core import (
     Equation,
     Narrowing,
     SystemState,
-    apply_to_state,
     apply_to_word,
     classify,
     compose_value,
@@ -33,7 +32,6 @@ __all__ = [
     "SystemState",
     "UNKNOWN",
     "UNSAT",
-    "apply_to_state",
     "apply_to_word",
     "brute_solutions",
     "build",

@@ -19,7 +19,7 @@ from .core import Equation
 from .graph import SAT, UNKNOWN, UNSAT, Budget, BuildOutcome, build, to_dot, verdict
 from .parse import ParseError, parse_program, parse_system, serialize_program
 from .rewrite import Scheme
-from .solutions import enumerate_solutions, min_witness
+from .solutions import check_alphabet, enumerate_solutions, min_witness
 from .witness import verify
 
 EXIT = {SAT: 0, UNSAT: 1, UNKNOWN: 2}
@@ -71,9 +71,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.max_len < 0 or args.max_path < 0:
         raise ValueError("enumeration bounds must not be negative")
+    alphabet = check_alphabet(args.alphabet) if args.alphabet else None
     system = _read_system(args.file)
     outcome = _build(args, system)
-    alphabet = list(args.alphabet) if args.alphabet else None
     found = enumerate_solutions(outcome.graph, args.max_len, args.max_path, alphabet)
     for solution in sorted(found, key=lambda s: s.items):
         print(solution)

@@ -165,18 +165,6 @@ def apply_to_word(n: Narrowing, w: Word) -> Word:
     return w.replace(n.var, n.replacement)
 
 
-def apply_to_state(n: Narrowing, s: SystemState) -> SystemState:
-    """Apply a narrowing to both sides of every equation, order preserved.
-
-    No simplification is performed here.
-    """
-    if not s.is_eqs:
-        raise ValueError(f"cannot substitute into a {s.kind.value} state")
-    return SystemState.of(
-        Equation(apply_to_word(n, e.lhs), apply_to_word(n, e.rhs)) for e in s.equations
-    )
-
-
 def compose_value(p: Iterable[Narrowing], x: str) -> Word:
     """Value of ``x`` under the left-to-right composition of the program."""
     w: Word = x

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Set
 
 from .core import Equation, Word, classify, ground_words
-from .solutions import Solution
+from .solutions import Solution, check_alphabet
 
 
 def substitute(w: Word, assignment: Dict[str, Word]) -> Word:
@@ -47,7 +47,7 @@ def brute_solutions(
     if not alphabet:
         raise ValueError("empty alphabet")
     names = sorted(variables) if variables is not None else system_variables(system)
-    words = ground_words(alphabet, max_value_len)
+    words = ground_words(check_alphabet(alphabet), max_value_len)
     out: Set[Solution] = set()
     for values in product(words, repeat=len(names)):
         assignment = dict(zip(names, values))

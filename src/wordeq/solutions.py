@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import cache, partial
+from itertools import product
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     Narrowing,
@@ -117,6 +119,15 @@ def min_witness(graph: SolutionGraph) -> Optional[Program]:
     return tuple(reversed(steps))
 
 
+def check_alphabet(alphabet: Iterable[str]) -> List[str]:
+    """The alphabet sorted; ``ValueError`` unless each symbol is one letter A-Z."""
+    symbols = sorted(alphabet)
+    for a in symbols:
+        if len(a) != 1 or not "A" <= a <= "Z":
+            raise ValueError(f"alphabet symbol {a!r} is not a letter A-Z")
+    return symbols
+
+
 def enumerate_solutions(
     graph: SolutionGraph,
     max_value_len: int,
@@ -125,74 +136,76 @@ def enumerate_solutions(
 ) -> Set[Solution]:
     """Ground solutions reachable by accepting walks of bounded length.
 
-    Walks of up to ``max_path_len`` edges are enumerated (back edges
-    unrolled); residual variables are instantiated with every ground word
-    within the value bound; solutions exceeding the bound are dropped.
-
-    Walk states that repeat an already-seen (node, composed values) pair
-    are pruned: their futures coincide, and breadth-first order means the
-    first visit had at least as much path budget left.  Branches whose
-    composed letters already exceed the value bound are pruned too, since
-    instantiation never removes letters.  Negative bounds are rejected
-    with ``ValueError``.
+    Walks of up to ``max_path_len`` edges (back edges unrolled) are states
+    (node, values, empty), visited breadth first.  ``empty`` holds the
+    variables the value bound forces empty, erased from the values: a value
+    with ``n`` letters and ``k > max_value_len - n`` occurrences of ``x`` is
+    at least ``n + k |x|`` long.  Repeated states (the first visit had as much
+    path budget left) and values with too many letters are pruned.  Negative
+    bounds and non-letter alphabet symbols raise ``ValueError``.
     """
     if max_value_len < 0 or max_path_len < 0:
         raise ValueError("enumeration bounds must not be negative")
-    variables = sorted(set().union(*(e.variables() for e in graph.system)) if graph.system else ())
+    variables = sorted(set().union(*(e.variables() for e in graph.system)))
     if alphabet is None:
-        alphabet = sorted(set().union(*(e.letters() for e in graph.system)) if graph.system else ())
-    alphabet = sorted(alphabet)
-
-    solutions: Set[Solution] = set()
-    start = (graph.root, tuple(variables))
-    seen = {start}
-    frontier = [start]
-    steps = 0
+        alphabet = set().union(*(e.letters() for e in graph.system))
+    words = cache(partial(ground_words, check_alphabet(alphabet)))
+    found: Set[Tuple[Word, ...]] = set()
+    frontier = [_normal(graph.root, tuple(variables), frozenset(), max_value_len)]
+    seen = set(frontier)
+    depth = 0
     while frontier:
-        for nid, values in frontier:
-            if graph.node(nid).kind == TLEAF:
-                _instantiate(variables, values, alphabet, max_value_len, solutions)
-        if steps == max_path_len:
-            break
-        steps += 1
         next_frontier = []
-        for nid, values in frontier:
-            for narrowing, child in graph.edges_from(nid):
-                if narrowing is None:
-                    succ = (child, values)
-                else:
-                    new_values = tuple(apply_to_word(narrowing, v) for v in values)
-                    if any(letter_count(v) > max_value_len for v in new_values):
-                        continue
-                    succ = (child, new_values)
-                if succ not in seen:
-                    seen.add(succ)
-                    next_frontier.append(succ)
-        frontier = next_frontier
-    return solutions
+        for nid, values, empty in frontier:
+            if graph.node(nid).kind == TLEAF:
+                _instantiate(values, words, max_value_len, found)
+            elif depth < max_path_len:
+                for narrowing, child in graph.edges_from(nid):
+                    if narrowing is None:
+                        succ = (child, values, empty)
+                    else:  # h = h' . n must keep every variable of ``empty`` empty
+                        forced, x, target = empty, narrowing.var, narrowing.target
+                        if x in empty:
+                            if target.isupper():
+                                continue
+                            forced = empty | {target} if target else empty - {x}
+                        new_values = tuple(apply_to_word(narrowing, v) for v in values)
+                        succ = _normal(child, new_values, forced, max_value_len)
+                        if succ is None:
+                            continue
+                    if succ not in seen:
+                        seen.add(succ)
+                        next_frontier.append(succ)
+        frontier, depth = next_frontier, depth + 1
+    return {Solution.of(dict(zip(variables, values))) for values in found}
 
 
-def _instantiate(
-    variables: Sequence[str],
-    values: Sequence[Word],
-    alphabet: Sequence[str],
-    max_value_len: int,
-    out: Set[Solution],
-) -> None:
-    residual = sorted(set(c for v in values for c in v if c.islower()))
-    if not residual:
-        if all(len(v) <= max_value_len for v in values):
-            out.add(Solution.of(dict(zip(variables, values))))
-        return
-    choices = ground_words(alphabet, max_value_len)
-    stack: List[Tuple[int, Tuple[Word, ...]]] = [(0, tuple(values))]
-    while stack:
-        index, vals = stack.pop()
-        if index == len(residual):
-            if all(len(v) <= max_value_len for v in vals):
-                out.add(Solution.of(dict(zip(variables, vals))))
-            continue
-        var = residual[index]
-        for word in choices:
-            stack.append((index + 1, tuple(v.replace(var, word) for v in vals)))
-    return
+def _normal(nid: int, values: Tuple[Word, ...], empty: FrozenSet[str], max_value_len: int):
+    """The walk state with every forced variable added to ``empty`` and all of
+    ``empty`` erased from the values; ``None`` if a value has too many letters."""
+    for v in values:
+        spare = max_value_len - letter_count(v)
+        if spare < 0:
+            return None
+        if len(v) > max_value_len:  # else it has no more variables than room
+            empty = empty.union(x for x in set(v) if x.islower() and v.count(x) > spare)
+    if empty:
+        table = dict.fromkeys(map(ord, empty))
+        values = tuple(v.translate(table) for v in values)
+    return nid, values, empty
+
+
+def _instantiate(values: Tuple[Word, ...], words: Callable, max_value_len: int, out: Set) -> None:
+    """Add every ground instance of the leaf values within the value bound.  A
+    residual variable takes only ``words(r // k)``, the ground words up to the
+    least ``r // k`` over the values with room ``r`` holding it ``k`` times."""
+    residual = sorted({c for v in values for c in v if c.islower()})
+    room = [max_value_len - letter_count(v) for v in values]
+    caps = [min(r // v.count(x) for v, r in zip(values, room) if x in v) for x in residual]
+    choices = [words(cap) for cap in caps]
+    keys = [ord(x) for x in residual]
+    for combo in product(*choices):
+        table = dict(zip(keys, combo))
+        ground = tuple(v.translate(table) for v in values)
+        if all(len(v) <= max_value_len for v in ground):
+            out.add(ground)

@@ -3,17 +3,41 @@ Reference definitions that the tests check the library against.
 
 They are written the plain way the paper states them, not the fast way the
 library computes them: occurrence counts and var-permutation by counting,
-and the split loop by slicing and re-reducing the remainder after every
-split.
+the split loop by slicing and re-reducing the remainder after every split,
+and bounded enumeration by a walk over fully composed values whose leaves
+are instantiated with every ground word within the value bound.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from wordeq.core import Equation, Word, erase_letters
+from wordeq.core import (
+    Equation,
+    Narrowing,
+    SystemState,
+    Word,
+    apply_to_word,
+    erase_letters,
+    ground_words,
+    letter_count,
+)
+from wordeq.graph import TLEAF, SolutionGraph
 from wordeq.rewrite import Scheme, reduce
+from wordeq.solutions import Solution
+
+
+def apply_to_state(n: Narrowing, s: SystemState) -> SystemState:
+    """Apply a narrowing to both sides of every equation, order preserved.
+
+    No simplification is performed here.
+    """
+    if not s.is_eqs:
+        raise ValueError(f"cannot substitute into a {s.kind.value} state")
+    return SystemState.of(
+        Equation(apply_to_word(n, e.lhs), apply_to_word(n, e.rhs)) for e in s.equations
+    )
 
 
 def count_occurrences(w: Word, t: str) -> int:
@@ -92,3 +116,78 @@ def split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
         if cur is None:
             return None
     return [cur] + suffixes + prefixes
+
+
+def enumerate_solutions(
+    graph: SolutionGraph,
+    max_value_len: int,
+    max_path_len: int,
+    alphabet: Optional[Sequence[str]] = None,
+) -> Set[Solution]:
+    """``solutions.enumerate_solutions`` over fully composed values.
+
+    Walks of up to ``max_path_len`` edges are enumerated breadth first
+    (back edges unrolled), pruning a walk state that repeats a seen (node,
+    composed values) pair or whose composed letters exceed the value bound.
+    At each T-leaf every residual variable takes every ground word within
+    the value bound, and solutions exceeding the bound are dropped.
+    """
+    if max_value_len < 0 or max_path_len < 0:
+        raise ValueError("enumeration bounds must not be negative")
+    variables = sorted(set().union(*(e.variables() for e in graph.system)) if graph.system else ())
+    if alphabet is None:
+        alphabet = sorted(set().union(*(e.letters() for e in graph.system)) if graph.system else ())
+    alphabet = sorted(alphabet)
+
+    solutions: Set[Solution] = set()
+    start = (graph.root, tuple(variables))
+    seen = {start}
+    frontier = [start]
+    steps = 0
+    while frontier:
+        for nid, values in frontier:
+            if graph.node(nid).kind == TLEAF:
+                _instantiate(variables, values, alphabet, max_value_len, solutions)
+        if steps == max_path_len:
+            break
+        steps += 1
+        next_frontier = []
+        for nid, values in frontier:
+            for narrowing, child in graph.edges_from(nid):
+                if narrowing is None:
+                    succ = (child, values)
+                else:
+                    new_values = tuple(apply_to_word(narrowing, v) for v in values)
+                    if any(letter_count(v) > max_value_len for v in new_values):
+                        continue
+                    succ = (child, new_values)
+                if succ not in seen:
+                    seen.add(succ)
+                    next_frontier.append(succ)
+        frontier = next_frontier
+    return solutions
+
+
+def _instantiate(
+    variables: Sequence[str],
+    values: Sequence[Word],
+    alphabet: Sequence[str],
+    max_value_len: int,
+    out: Set[Solution],
+) -> None:
+    residual = sorted(set(c for v in values for c in v if c.islower()))
+    if not residual:
+        if all(len(v) <= max_value_len for v in values):
+            out.add(Solution.of(dict(zip(variables, values))))
+        return
+    choices = ground_words(alphabet, max_value_len)
+    stack: List[Tuple[int, Tuple[Word, ...]]] = [(0, tuple(values))]
+    while stack:
+        index, vals = stack.pop()
+        if index == len(residual):
+            if all(len(v) <= max_value_len for v in vals):
+                out.add(Solution.of(dict(zip(variables, vals))))
+            continue
+        var = residual[index]
+        for word in choices:
+            stack.append((index + 1, tuple(v.replace(var, word) for v in vals)))

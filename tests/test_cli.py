@@ -110,6 +110,22 @@ def test_enumerate_with_alphabet(tmp_path, capsys):
     assert len(out) == 7
 
 
+def test_alphabet_must_be_letters(tmp_path, capsys, monkeypatch):
+    # enumerate checks the alphabet before the graph is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(cli, "_build", no_build)
+    path = write(tmp_path, "comm.eq", "x y = y x\n")
+    for command in ("enumerate", "oracle"):
+        for alphabet in ("ab", "A-"):
+            code = main([command, path, "--max-len", "1", "--alphabet", alphabet])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert "is not a letter A-Z" in captured.err
+
+
 def test_verify(tmp_path, capsys):
     eq = write(tmp_path, "fig3b.eq", FIG3B)
     good = write(tmp_path, "good.nar", "x ->\ny ->\n")

@@ -8,7 +8,6 @@ from wordeq.core import (
     Equation,
     Narrowing,
     SystemState,
-    apply_to_state,
     apply_to_word,
     classify,
     compose_value,
@@ -18,7 +17,7 @@ from wordeq.core import (
     prepend_letter,
     prepend_var,
 )
-from reference import count_occurrences, is_var_permutated
+from reference import apply_to_state, count_occurrences, is_var_permutated
 
 
 def test_count_occurrences():

@@ -8,7 +8,7 @@ from wordeq.narrow import compatible_narrowings, step
 from wordeq.oracle import brute_solutions, satisfies, system_variables
 from wordeq.rewrite import Scheme, reduce
 from wordeq.solutions import enumerate_solutions
-from reference import left_split, right_split
+from reference import apply_to_state, left_split, right_split
 
 E = Equation
 
@@ -75,7 +75,6 @@ def test_step():
 
 def test_step_equals_substitute_then_simplify():
     # the untouched-equation fast path must agree with the definition
-    from wordeq.core import apply_to_state
     from wordeq.rewrite import simplify
 
     rng = random.Random(24)

@@ -29,6 +29,12 @@ def test_brute_sat():
     assert bool(brute_solutions([E("", "")], "A", 1))
 
 
+def test_brute_rejects_non_letter_alphabet():
+    for alphabet in ("ab", "A-", ["AB"]):
+        with pytest.raises(ValueError, match="is not a letter A-Z"):
+            brute_solutions([E("xy", "yx")], alphabet, 1)
+
+
 def test_brute_monotone_in_bound():
     system = [E("xAy", "yAx")]
     previous = set()

@@ -1,13 +1,17 @@
-"""Property tests of the split loop and of duplicate-free labels."""
+"""Property tests of the split loop, of duplicate-free labels, of bounded
+enumeration, and of verdicts against witnesses and the oracle."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
 from wordeq.core import Equation, SystemState
+from wordeq.graph import SAT, UNSAT, Budget, build, verdict
 from wordeq.narrow import compatible_narrowings, step
-from wordeq.oracle import brute_solutions, system_variables
+from wordeq.oracle import brute_solutions, satisfies, system_variables
 from wordeq.rewrite import Scheme, _split_pieces, reduce, simplify, simplify_equation
-from reference import split_pieces
+from wordeq.solutions import enumerate_solutions, min_witness, path_solution
+from wordeq.witness import verify
 
 E = Equation
 
@@ -38,7 +42,7 @@ def test_one_pass_split_loop_equals_reference(e):
     if e is None:
         return
     for scheme in Scheme:
-        want = split_pieces(scheme, e)
+        want = reference.split_pieces(scheme, e)
         if want is not None:
             want = list(dict.fromkeys(want))
         assert _split_pieces(scheme, e) == want, (e, scheme)
@@ -79,3 +83,47 @@ def test_labels_hold_each_equation_once(system, data):
             child = step(with_copies, n, scheme)
             assert distinct(child)
             assert step(dedup(with_copies), n, scheme) == dedup(child)
+
+
+SIDES = st.text("ABxyz", min_size=1, max_size=6)
+SYSTEMS = st.lists(st.builds(E, SIDES, SIDES), min_size=1, max_size=2)
+
+
+@SETTINGS
+@given(
+    SYSTEMS,
+    st.sampled_from(list(Scheme)),
+    st.sampled_from(["ancestor", "memo"]),
+    st.sampled_from([20, 100, 400]),
+    st.integers(0, 3),
+    st.integers(0, 12),
+    st.sampled_from(["A", "AB", "ABC", None]),
+)
+def test_enumerate_equals_reference(system, scheme, fold, max_nodes, max_len, max_path, alphabet):
+    assume(scheme is not Scheme.BASE or len(system) == 1)  # base takes one equation
+    graph = build(system, scheme, Budget(max_nodes=max_nodes), fold=fold).graph
+    got = enumerate_solutions(graph, max_len, max_path, alphabet)
+    want = reference.enumerate_solutions(graph, max_len, max_path, alphabet)
+    assert {(s.items, s.residual_free) for s in got} == {(s.items, s.residual_free) for s in want}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(SYSTEMS)
+def test_verdicts_agree_with_witnesses_and_oracle(system):
+    outcome = build(system, Scheme.COUNT, Budget(max_nodes=400))
+    result = verdict(outcome)
+    variables = system_variables(system)
+    if result == SAT:
+        witness = min_witness(outcome.graph)
+        assert verify(witness, system, Scheme.COUNT)
+        # the composed values solve the system as they stand, and so does
+        # their ground instance with every residual variable erased
+        solution = path_solution(witness, variables).as_dict()
+        assert satisfies(system, solution)
+        erase = dict.fromkeys(map(ord, "xyz"))
+        assert satisfies(system, {x: v.translate(erase) for x, v in solution.items()})
+    elif result == UNSAT:
+        # complete graph, no T-leaf: no solution at a larger value bound
+        # than the acceptance suite's oracle check uses
+        assert outcome.complete
+        assert brute_solutions(system, "AB", 3) == set()

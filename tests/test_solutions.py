@@ -97,6 +97,26 @@ def test_enumerate_rejects_negative_bounds(fig3b):
         enumerate_solutions(fig3b.graph, -1, 8)
 
 
+def test_enumerate_rejects_non_letter_alphabet(fig3b):
+    # lowercase symbols are variables, so their "solutions" would not be ground
+    for alphabet in ("ab", "A-", "Ab", ["AB"], [""]):
+        with pytest.raises(ValueError, match="is not a letter A-Z"):
+            enumerate_solutions(fig3b.graph, 1, 8, alphabet)
+
+
+def test_enumerate_values_growing_by_variables():
+    # walk values such as the Nielsen pairs (yyyx, yyx) grow by variables
+    # alone; the variables the value bound forces empty are erased, so the
+    # walk states stay few however long the path bound
+    system = parse_system("x y z = z y x")
+    graph = build(system, Scheme.COUNT).graph
+    assert len(graph.nodes) == 29
+    want = brute_solutions(system, "AB", 2)
+    assert len(want) == 93
+    for max_path in (28, 40):
+        assert enumerate_solutions(graph, 2, max_path, "AB") == want
+
+
 def test_min_witness(fig3b):
     assert min_witness(fig3b.graph) == (eps("x"), eps("y"))
     unsat = build(parse_system("x x A y B z = A x x z y"), Scheme.COUNT)
