@@ -7,17 +7,16 @@ from .core import (
     Narrowing,
     SystemState,
     apply_to_word,
-    classify,
     compose_value,
     eps,
     prepend_letter,
     prepend_var,
 )
 from .graph import SAT, UNKNOWN, UNSAT, Budget, build, to_dot, verdict
-from .oracle import brute_solutions, gen_instance
+from .oracle import brute_solutions
 from .parse import parse_program, parse_system, serialize_program, serialize_system
 from .rewrite import Scheme, simplify
-from .solutions import Solution, enumerate_solutions, extract_program, min_witness, path_solution
+from .solutions import Solution, enumerate_solutions, min_witness, path_solution
 from .witness import verify
 
 __all__ = [
@@ -35,12 +34,9 @@ __all__ = [
     "apply_to_word",
     "brute_solutions",
     "build",
-    "classify",
     "compose_value",
     "enumerate_solutions",
     "eps",
-    "extract_program",
-    "gen_instance",
     "min_witness",
     "parse_program",
     "parse_system",

@@ -11,11 +11,12 @@ import argparse
 import csv
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import List, NoReturn, Optional
 
 from . import oracle as oraclemod
-from .core import Equation
+from .core import Equation, system_letters, system_variables
 from .graph import SAT, UNKNOWN, UNSAT, Budget, BuildOutcome, build, to_dot, verdict
 from .parse import ParseError, parse_program, parse_system, serialize_program
 from .rewrite import Scheme
@@ -24,6 +25,8 @@ from .witness import verify
 
 EXIT = {SAT: 0, UNSAT: 1, UNKNOWN: 2}
 ERROR_EXIT = 3
+# The most assignments ``oracle`` tries: about 2 s at ~2 us each.
+ORACLE_MAX_ASSIGNMENTS = 10**6
 
 
 def _read_system(path: str) -> List[Equation]:
@@ -77,9 +80,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     found = enumerate_solutions(outcome.graph, args.max_len, args.max_path, alphabet)
     for solution in sorted(found, key=lambda s: s.items):
         print(solution)
-    if found:
-        return 0
-    return EXIT[verdict(outcome)] if verdict(outcome) != SAT else 0
+    result = verdict(outcome)
+    return 0 if found or result == SAT else EXIT[result]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -103,11 +105,21 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     system = _read_system(args.file)
-    alphabet = list(args.alphabet) if args.alphabet else sorted(
-        set().union(*(e.letters() for e in system))
-    )
+    alphabet = check_alphabet(args.alphabet) if args.alphabet else system_letters(system)
     if not alphabet:
         print("error: no letters in input; pass --alphabet", file=sys.stderr)
+        return ERROR_EXIT
+    # The oracle lists the ground words up to the bound, then tries every
+    # assignment of them; count both, stopping once past the cap.
+    words = layer = 1
+    for _ in range(args.max_len):
+        layer *= len(alphabet)
+        words += layer
+        if words > ORACLE_MAX_ASSIGNMENTS:
+            break
+    if max(words, words ** len(system_variables(system))) > ORACLE_MAX_ASSIGNMENTS:
+        print(f"error: more than {ORACLE_MAX_ASSIGNMENTS} assignments to try; "
+              "lower --max-len or use fewer letters", file=sys.stderr)
         return ERROR_EXIT
     found = oraclemod.brute_solutions(system, alphabet, args.max_len)
     for solution in sorted(found, key=lambda s: s.items):
@@ -133,14 +145,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             result, nodes, depth = "ERROR", 0, 0
         elapsed_ms = int((time.monotonic() - started) * 1000)
         rows.append([path.name, args.scheme, result, nodes, depth, elapsed_ms])
-    out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else sys.stdout
-    try:
+    with open(args.csv, "w", newline="", encoding="utf-8") if args.csv else nullcontext(sys.stdout) as out:
         writer = csv.writer(out)
         writer.writerow(["file", "scheme", "result", "nodes", "depth", "time_ms"])
         writer.writerows(rows)
-    finally:
-        if args.csv:
-            out.close()
     return 0
 
 

@@ -2,11 +2,11 @@
 Core value types for word equations: terms, words, equations, system
 states, and the elementary narrowing substitutions.
 
-A term is a single character.  Uppercase ASCII characters are alphabet
-letters, lowercase ASCII characters are variables, and a word is a plain
-string of terms.  Keeping words as strings makes structural equality,
-occurrence counting and substitution cheap, and it guarantees that the
-serialized node labels used for folding are canonical by construction.
+A term is a single character: the letters ``A``-``Z`` are alphabet
+letters, ``a``-``z`` are variables, and a word is a plain string of terms.
+Keeping words as strings makes structural equality, occurrence counting
+and substitution cheap, and it guarantees that the serialized node labels
+used for folding are canonical by construction.
 
 Everything in this module is an immutable value; all operations are pure
 functions and safe to share across threads.
@@ -14,22 +14,21 @@ functions and safe to share across threads.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 Word = str  # a (possibly empty) string of single-character terms
 
+# The term rule of every input: a letter is one of A-Z, a variable one of a-z.
+LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+VARIABLES = frozenset("abcdefghijklmnopqrstuvwxyz")
+TERMS = LETTERS | VARIABLES
+
 
 def is_var(term: str) -> bool:
-    """True for variable terms (lowercase)."""
+    """True for variable terms (lowercase); assumes a valid term."""
     return term.islower()
-
-
-def is_letter(term: str) -> bool:
-    """True for alphabet letters (uppercase)."""
-    return term.isupper()
 
 
 def variables_of(w: Word) -> frozenset:
@@ -109,10 +108,10 @@ class Narrowing:
     target: str
 
     def __post_init__(self) -> None:
-        if len(self.var) != 1 or not is_var(self.var):
+        if self.var not in VARIABLES:
             raise ValueError(f"not a variable: {self.var!r}")
         if self.target:
-            if len(self.target) != 1 or not self.target.isalpha():
+            if self.target not in TERMS:
                 raise ValueError(f"not a term: {self.target!r}")
             if self.target == self.var:
                 raise ValueError(f"{self.var} -> {self.var} {self.var} is not allowed")
@@ -136,13 +135,13 @@ def eps(x: str) -> Narrowing:
 
 
 def prepend_letter(x: str, a: str) -> Narrowing:
-    if not is_letter(a):
+    if a not in LETTERS:
         raise ValueError(f"not a letter: {a!r}")
     return Narrowing(x, a)
 
 
 def prepend_var(x: str, y: str) -> Narrowing:
-    if not is_var(y):
+    if y not in VARIABLES:
         raise ValueError(f"not a variable: {y!r}")
     return Narrowing(x, y)
 
@@ -150,14 +149,19 @@ def prepend_var(x: str, y: str) -> Narrowing:
 Program = Tuple[Narrowing, ...]
 
 
+def system_variables(system: Iterable[Equation]) -> List[str]:
+    """The variables of a system, sorted."""
+    return sorted(set().union(*(e.variables() for e in system)))
+
+
+def system_letters(system: Iterable[Equation]) -> List[str]:
+    """The letters of a system, sorted: the default alphabet of its solutions."""
+    return sorted(set().union(*(e.letters() for e in system)))
+
+
 def letter_count(w: Word) -> int:
     """Number of positions of ``w`` holding letters."""
     return sum(map(str.isupper, w))
-
-
-def erase_letters(w: Word) -> Word:
-    """The subsequence of ``w`` consisting of its variables."""
-    return "".join(c for c in w if c.islower())
 
 
 def apply_to_word(n: Narrowing, w: Word) -> Word:
@@ -183,20 +187,3 @@ def ground_words(alphabet: Iterable[str], max_len: int) -> list:
         layer = [w + a for w in layer for a in alphabet]
         out.extend(layer)
     return out
-
-
-@dataclass(frozen=True)
-class EquationClass:
-    quadratic: bool
-    strictly_regular_ordered_rep: bool
-    one_variable: bool
-
-
-def classify(e: Equation) -> EquationClass:
-    """Membership flags for the equation classes with termination guarantees."""
-    counts = Counter(erase_letters(e.lhs) + erase_letters(e.rhs))
-    return EquationClass(
-        quadratic=all(k <= 2 for k in counts.values()),
-        strictly_regular_ordered_rep=erase_letters(e.lhs) == erase_letters(e.rhs),
-        one_variable=len(counts) <= 1,
-    )

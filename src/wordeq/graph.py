@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import Equation, Narrowing, SystemState
 from .narrow import compatible_narrowings, step
@@ -39,12 +39,20 @@ class Budget:
             raise ValueError("budget limits must be positive")
 
 
-@dataclass
-class Node:
+class Node(NamedTuple):
     id: int
     label: SystemState
-    kind: str
     depth: int
+
+    @property
+    def kind(self) -> str:
+        """TLEAF for an accepted label; FLEAF for a contradiction or a label
+        no narrowing is compatible with; INTERNAL otherwise."""
+        if self.label.is_accepted:
+            return TLEAF
+        if self.label.is_contradiction or not compatible_narrowings(self.label):
+            return FLEAF
+        return INTERNAL
 
 
 @dataclass
@@ -78,11 +86,7 @@ class SolutionGraph:
         return out
 
     def t_leaves(self) -> List[Node]:
-        return [n for n in self.nodes if n.kind == TLEAF]
-
-    def internal_nodes(self) -> List[Node]:
-        """Expanded internal nodes, i.e. those with outgoing tree edges."""
-        return [n for n in self.nodes if self.children.get(n.id)]
+        return [n for n in self.nodes if n.label.is_accepted]
 
     def max_depth(self) -> int:
         return max(n.depth for n in self.nodes)
@@ -125,7 +129,7 @@ def build(
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
 
     root_label = simplify(scheme, SystemState.of(system))
-    nodes = [Node(0, root_label, _kind_of(root_label), 0)]
+    nodes = [Node(0, root_label, 0)]
     graph = SolutionGraph(0, nodes, tuple(system), scheme)
     reason: Optional[str] = None
     halted = False
@@ -143,9 +147,9 @@ def build(
             del fold_to[arg]
             continue
         node = nodes[arg]
-        if node.kind != INTERNAL:
-            continue
         label = node.label
+        if not label.is_eqs:
+            continue
         target = fold_to.get(label)
         if target is not None:
             graph.fold_target[node.id] = target
@@ -164,7 +168,6 @@ def build(
             continue
         narrowings = compatible_narrowings(label)
         if not narrowings:
-            node.kind = FLEAF
             continue
         if len(nodes) + len(narrowings) > budget.max_nodes:
             halted = True
@@ -173,10 +176,9 @@ def build(
         children = graph.children[node.id] = []
         for n in narrowings:
             child_label = step(label, n, scheme)
-            child = Node(len(nodes), child_label, _kind_of(child_label), node.depth + 1)
-            nodes.append(child)
-            children.append((n, child.id))
-            if early_stop and child.kind == TLEAF:
+            children.append((n, len(nodes)))
+            nodes.append(Node(len(nodes), child_label, node.depth + 1))
+            if early_stop and child_label.is_accepted:
                 halted = True
         if ancestor:
             fold_to[label] = node.id
@@ -185,14 +187,6 @@ def build(
             stack.append((ENTER, child_id))
 
     return BuildOutcome(graph, complete=reason is None, reason=reason)
-
-
-def _kind_of(label: SystemState) -> str:
-    if label.is_accepted:
-        return TLEAF
-    if label.is_contradiction:
-        return FLEAF
-    return INTERNAL
 
 
 def verdict(outcome: BuildOutcome) -> str:
@@ -204,7 +198,7 @@ def verdict(outcome: BuildOutcome) -> str:
 
 
 def _node_dot(node: Node) -> str:
-    if node.kind == TLEAF:
+    if node.label.is_accepted:
         return f'  n{node.id} [shape=doublecircle, label="T"];'
     if node.label.is_contradiction:
         return f'  n{node.id} [shape=diamond, label="F"];'

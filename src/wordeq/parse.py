@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .core import Equation, Narrowing, Program, is_var
+from .core import TERMS, Equation, Narrowing, Program
 
 
 class ParseError(ValueError):
@@ -48,7 +48,7 @@ def parse_system(text: str) -> List[Equation]:
                 if side > 1:
                     raise ParseError("duplicate '='", lineno, col)
                 continue
-            if not ("A" <= ch <= "Z" or "a" <= ch <= "z"):
+            if ch not in TERMS:
                 raise ParseError(f"illegal character {ch!r}", lineno, col)
             sides[side].append(ch)
         equations.append(Equation("".join(sides[0]), "".join(sides[1])))
@@ -67,31 +67,18 @@ def parse_program(text: str) -> Program:
         if not arrow:
             raise ParseError("missing '->'", lineno)
         head = head.strip()
-        if len(head) != 1 or not is_var(head):
-            raise ParseError(f"bad head variable {head!r}", lineno)
         terms = tail.split()
-        if not terms:
-            steps.append(Narrowing(head, ""))
-            continue
-        if len(terms) != 2 or len(terms[0]) != 1 or terms[1] != head:
+        if terms and (len(terms) != 2 or terms[1] != head):
             raise ParseError(f"bad replacement {tail.strip()!r}", lineno)
-        if terms[0] == head:
-            raise ParseError(f"{head} -> {head} {head} is not allowed", lineno)
-        if not terms[0].isalpha():
-            raise ParseError(f"illegal character {terms[0]!r}", lineno)
-        steps.append(Narrowing(head, terms[0]))
+        try:
+            steps.append(Narrowing(head, terms[0] if terms else ""))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
     return tuple(steps)
 
 
 def serialize_equation(e: Equation) -> str:
-    lhs = " ".join(e.lhs)
-    rhs = " ".join(e.rhs)
-    out = "="
-    if lhs:
-        out = lhs + " " + out
-    if rhs:
-        out = out + " " + rhs
-    return out
+    return " ".join([*e.lhs, "=", *e.rhs])
 
 
 def serialize_system(equations: List[Equation]) -> str:

@@ -19,6 +19,7 @@ from itertools import product
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import (
+    LETTERS,
     Narrowing,
     Program,
     Word,
@@ -26,9 +27,11 @@ from .core import (
     compose_value,
     ground_words,
     letter_count,
+    system_letters,
+    system_variables,
     variables_of,
 )
-from .graph import TLEAF, SolutionGraph
+from .graph import SolutionGraph
 
 
 @dataclass(frozen=True)
@@ -58,29 +61,6 @@ class Solution:
         return ", ".join(f"{var}={value}" for var, value in self.items)
 
 
-def extract_program(graph: SolutionGraph, path: Sequence[int]) -> Program:
-    """Program spelled by a root-to-T-leaf walk given as node ids.
-
-    Consecutive nodes must be joined by a tree edge (whose narrowing is
-    collected) or by the source node's back edge (which contributes
-    nothing).
-    """
-    if not path or path[0] != graph.root:
-        raise ValueError("walk must start at the root")
-    steps: List[Narrowing] = []
-    for src, dst in zip(path, path[1:]):
-        for narrowing, child in graph.edges_from(src):
-            if child == dst:
-                if narrowing is not None:
-                    steps.append(narrowing)
-                break
-        else:
-            raise ValueError(f"no edge from node {src} to node {dst}")
-    if graph.node(path[-1]).kind != TLEAF:
-        raise ValueError("walk does not end at an accepting leaf")
-    return tuple(steps)
-
-
 def path_solution(p: Program, variables: Iterable[str]) -> Solution:
     """Composed values of the given variables under the program.
 
@@ -100,7 +80,7 @@ def min_witness(graph: SolutionGraph) -> Optional[Program]:
     goal: Optional[int] = None
     while queue:
         nid = queue.popleft()
-        if graph.node(nid).kind == TLEAF:
+        if graph.nodes[nid].label.is_accepted:
             goal = nid
             break
         for narrowing, child in graph.edges_from(nid):
@@ -123,7 +103,7 @@ def check_alphabet(alphabet: Iterable[str]) -> List[str]:
     """The alphabet sorted; ``ValueError`` unless each symbol is one letter A-Z."""
     symbols = sorted(alphabet)
     for a in symbols:
-        if len(a) != 1 or not "A" <= a <= "Z":
+        if a not in LETTERS:
             raise ValueError(f"alphabet symbol {a!r} is not a letter A-Z")
     return symbols
 
@@ -146,9 +126,9 @@ def enumerate_solutions(
     """
     if max_value_len < 0 or max_path_len < 0:
         raise ValueError("enumeration bounds must not be negative")
-    variables = sorted(set().union(*(e.variables() for e in graph.system)))
+    variables = system_variables(graph.system)
     if alphabet is None:
-        alphabet = set().union(*(e.letters() for e in graph.system))
+        alphabet = system_letters(graph.system)
     words = cache(partial(ground_words, check_alphabet(alphabet)))
     found: Set[Tuple[Word, ...]] = set()
     frontier = [_normal(graph.root, tuple(variables), frozenset(), max_value_len)]
@@ -157,7 +137,7 @@ def enumerate_solutions(
     while frontier:
         next_frontier = []
         for nid, values, empty in frontier:
-            if graph.node(nid).kind == TLEAF:
+            if graph.nodes[nid].label.is_accepted:
                 _instantiate(values, words, max_value_len, found)
             elif depth < max_path_len:
                 for narrowing, child in graph.edges_from(nid):

@@ -24,10 +24,7 @@ def verify(p: Iterable[Narrowing], system: Sequence[Equation], scheme: Scheme) -
     uses, and each step is the search's own ``step``, so verifier and graph
     agree by construction.
     """
-    if not system:
-        state = ACCEPTED
-    else:
-        state = simplify(scheme, SystemState.of(system))
+    state = simplify(scheme, SystemState.of(system)) if system else ACCEPTED
     for n in p:
         if not state.is_eqs:
             return False

@@ -5,7 +5,9 @@ They are written the plain way the paper states them, not the fast way the
 library computes them: occurrence counts and var-permutation by counting,
 the split loop by slicing and re-reducing the remainder after every split,
 and bounded enumeration by a walk over fully composed values whose leaves
-are instantiated with every ground word within the value bound.
+are instantiated with every ground word within the value bound.  The graph
+helpers at the end (expanded nodes, the program of a given walk) serve only
+the tests, so they live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ from typing import List, Optional, Sequence, Set, Tuple
 from wordeq.core import (
     Equation,
     Narrowing,
+    Program,
     SystemState,
     Word,
     apply_to_word,
-    erase_letters,
     ground_words,
     letter_count,
 )
-from wordeq.graph import TLEAF, SolutionGraph
+from wordeq.graph import TLEAF, Node, SolutionGraph
 from wordeq.rewrite import Scheme, reduce
 from wordeq.solutions import Solution
 
@@ -38,6 +40,11 @@ def apply_to_state(n: Narrowing, s: SystemState) -> SystemState:
     return SystemState.of(
         Equation(apply_to_word(n, e.lhs), apply_to_word(n, e.rhs)) for e in s.equations
     )
+
+
+def erase_letters(w: Word) -> Word:
+    """The subsequence of ``w`` consisting of its variables."""
+    return "".join(c for c in w if c.islower())
 
 
 def count_occurrences(w: Word, t: str) -> int:
@@ -191,3 +198,31 @@ def _instantiate(
         var = residual[index]
         for word in choices:
             stack.append((index + 1, tuple(v.replace(var, word) for v in vals)))
+
+
+def internal_nodes(graph: SolutionGraph) -> List[Node]:
+    """Expanded internal nodes, i.e. those with outgoing tree edges."""
+    return [n for n in graph.nodes if graph.children.get(n.id)]
+
+
+def extract_program(graph: SolutionGraph, path: Sequence[int]) -> Program:
+    """Program spelled by a root-to-T-leaf walk given as node ids.
+
+    Consecutive nodes must be joined by a tree edge (whose narrowing is
+    collected) or by the source node's back edge (which contributes
+    nothing).
+    """
+    if not path or path[0] != graph.root:
+        raise ValueError("walk must start at the root")
+    steps: List[Narrowing] = []
+    for src, dst in zip(path, path[1:]):
+        for narrowing, child in graph.edges_from(src):
+            if child == dst:
+                if narrowing is not None:
+                    steps.append(narrowing)
+                break
+        else:
+            raise ValueError(f"no edge from node {src} to node {dst}")
+    if graph.node(path[-1]).kind != TLEAF:
+        raise ValueError("walk does not end at an accepting leaf")
+    return tuple(steps)

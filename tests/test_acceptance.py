@@ -9,11 +9,13 @@ import time
 
 from wordeq.core import Equation, compose_value
 from wordeq.graph import SAT, UNKNOWN, UNSAT, Budget, build, to_dot, verdict
-from wordeq.oracle import brute_solutions, gen_instance, satisfies, system_variables
+from wordeq.oracle import brute_solutions, satisfies, system_variables
 from wordeq.parse import parse_system
 from wordeq.rewrite import Scheme
 from wordeq.solutions import enumerate_solutions, min_witness
 from wordeq.witness import verify
+from generators import gen_instance
+from reference import internal_nodes
 
 E = Equation
 
@@ -49,7 +51,7 @@ def test_criterion_1_figure_graph_reproduction():
     outcome = build(parse_system("A x y = x y A"), Scheme.BASE)
     elapsed = time.monotonic() - started
     g = outcome.graph
-    internal = len(g.internal_nodes())
+    internal = len(internal_nodes(g))
     tleaves = len(g.t_leaves())
     backs = len(g.back_edges)
     sat = verdict(outcome) == SAT

@@ -6,8 +6,8 @@ import pytest
 from wordeq import cli
 from wordeq.cli import main
 from wordeq.core import Equation
-from wordeq.oracle import gen_instance
 from wordeq.parse import serialize_system
+from generators import gen_instance
 
 E = Equation
 
@@ -138,6 +138,16 @@ def test_verify(tmp_path, capsys):
     assert main(["verify", eq, empty, "--scheme", "base"]) == 1
 
 
+def test_verify_rejects_non_ascii_terms(tmp_path, capsys):
+    eq = write(tmp_path, "comm.eq", "x A = A x\n")
+    for text in ("x -> Ä x\n", "é -> A é\n"):
+        nar = write(tmp_path, "bad.nar", text)
+        assert main(["verify", eq, nar]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 1" in captured.err
+
+
 def test_dot(tmp_path, capsys):
     eq = write(tmp_path, "fig3b.eq", FIG3B)
     out_file = tmp_path / "g.dot"
@@ -155,6 +165,27 @@ def test_oracle_command(tmp_path, capsys):
     assert main(["oracle", eq, "--max-len", "1", "--alphabet", "A"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["x=, y=", "x=, y=A", "x=A, y=", "x=A, y=A"]
+
+
+def test_oracle_rejects_negative_bound(tmp_path, capsys):
+    eq = write(tmp_path, "comm.eq", "x y = y x\n")
+    assert main(["oracle", eq, "--max-len", "-1", "--alphabet", "A"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must not be negative" in captured.err
+
+
+def test_oracle_caps_its_work(tmp_path, capsys, monkeypatch):
+    # 255 ground words over AB up to length 7, so 255**3 (16.6 M) assignments
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the oracle enumerated")
+
+    monkeypatch.setattr(cli.oraclemod, "brute_solutions", no_enumeration)
+    eq = write(tmp_path, "rev.eq", "x y z A = A z y x\n")
+    assert main(["oracle", eq, "--max-len", "7", "--alphabet", "AB"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"more than {cli.ORACLE_MAX_ASSIGNMENTS} assignments" in captured.err
 
 
 def test_bench(tmp_path, capsys):

