@@ -39,6 +39,7 @@ def _add_build_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-depth", type=int, default=Budget().max_depth)
     sub.add_argument("--early-stop", action="store_true")
     sub.add_argument("--fold", choices=["ancestor", "memo"], default="ancestor")
+    sub.add_argument("--timeout-ms", type=float, default=None)
 
 
 def _build(args: argparse.Namespace, system: List[Equation]) -> BuildOutcome:
@@ -48,7 +49,7 @@ def _build(args: argparse.Namespace, system: List[Equation]) -> BuildOutcome:
         Budget(args.max_nodes, args.max_depth),
         early_stop=args.early_stop,
         fold=args.fold,
-        timeout_ms=getattr(args, "timeout_ms", None),
+        timeout_ms=args.timeout_ms,
     )
 
 
@@ -200,7 +201,6 @@ def make_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("bench", help="run every .eq file in a directory, emit CSV")
     sub.add_argument("dir")
     _add_build_flags(sub)
-    sub.add_argument("--timeout-ms", type=float, default=None, dest="timeout_ms")
     sub.add_argument("--csv", default=None)
     sub.set_defaults(func=cmd_bench)
 

@@ -74,6 +74,12 @@ class SystemState:
         if self.kind is not StateKind.EQS and self.equations:
             raise ValueError(f"{self.kind.value} state carries no equations")
 
+    def __hash__(self) -> int:
+        # The equations alone: the generated hash would also hash ``kind``
+        # through the slow ``Enum.__hash__``.  Only states without equations
+        # collide, and the leaf states are never looked up.
+        return hash(self.equations)
+
     @staticmethod
     def of(equations: Iterable[Equation]) -> "SystemState":
         return SystemState(StateKind.EQS, tuple(equations))
@@ -159,9 +165,12 @@ def system_letters(system: Iterable[Equation]) -> List[str]:
     return sorted(set().union(*(e.letters() for e in system)))
 
 
+_DROP_LETTERS = str.maketrans("", "", "".join(LETTERS))
+
+
 def letter_count(w: Word) -> int:
     """Number of positions of ``w`` holding letters."""
-    return sum(map(str.isupper, w))
+    return len(w) - len(w.translate(_DROP_LETTERS))
 
 
 def apply_to_word(n: Narrowing, w: Word) -> Word:

@@ -6,8 +6,12 @@ A node whose label textually equals the label of one of its ancestors is
 closed by a back edge to that ancestor instead of being expanded; its
 subtree would repeat the ancestor's.  Equal labels on *different* paths
 are deliberately not merged (the default), so back edges always point to
-proper ancestors.  A global memoizing mode is available behind a flag; it
-changes the graph shape but not the verdict or the accepted programs.
+proper ancestors.  They do share one expansion per build: the narrowings
+and child labels of a label are computed the first time a node with that
+label is expanded, and every later node with an equal label gets its own
+new children from that table.  A global memoizing mode is available behind
+a flag; it changes the graph shape but not the verdict or the accepted
+programs.
 """
 
 from __future__ import annotations
@@ -126,6 +130,8 @@ def build(
         raise ValueError("empty system")
     if fold not in (FOLD_ANCESTOR, FOLD_MEMO):
         raise ValueError(f"unknown fold mode {fold!r}")
+    if timeout_ms is not None and timeout_ms < 0:
+        raise ValueError("timeout must not be negative")
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
 
     root_label = simplify(scheme, SystemState.of(system))
@@ -139,6 +145,9 @@ def build(
     # Labels a node may fold to: those on its path (ancestor mode), or
     # those of every node visited before it (memo mode).
     fold_to: Dict[SystemState, int] = {}
+    # The narrowings and child labels of every label expanded so far; a
+    # node whose label is already here reuses them instead of unfolding.
+    expansions: Dict[SystemState, List[Tuple[Narrowing, SystemState]]] = {}
     ancestor = fold == FOLD_ANCESTOR
 
     while stack:
@@ -166,16 +175,20 @@ def build(
         if node.depth >= budget.max_depth:
             reason = reason or "max_depth"
             continue
-        narrowings = compatible_narrowings(label)
-        if not narrowings:
-            continue
+        # The budget is checked before anything is unfolded; a dead end adds
+        # no nodes, so it never exceeds it.
+        expansion = expansions.get(label)
+        narrowings = compatible_narrowings(label) if expansion is None else expansion
         if len(nodes) + len(narrowings) > budget.max_nodes:
             halted = True
             reason = reason or "max_nodes"
             continue
+        if expansion is None:
+            expansion = expansions[label] = [(n, step(label, n, scheme)) for n in narrowings]
+        if not expansion:
+            continue
         children = graph.children[node.id] = []
-        for n in narrowings:
-            child_label = step(label, n, scheme)
+        for n, child_label in expansion:
             children.append((n, len(nodes)))
             nodes.append(Node(len(nodes), child_label, node.depth + 1))
             if early_stop and child_label.is_accepted:

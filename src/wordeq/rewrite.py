@@ -19,6 +19,7 @@ from .core import (
     ACCEPTED,
     CONTRADICTION,
     EMPTY_EQUATION,
+    LETTERS,
     Equation,
     Narrowing,
     SystemState,
@@ -147,7 +148,7 @@ def _letters_dominated(phi: str, psi: str) -> bool:
     occurrences of every variable, hence the equation has no solution."""
     if letter_count(phi) <= letter_count(psi):
         return False
-    return all(phi.count(x) >= psi.count(x) for x in set(c for c in psi if c.islower()))
+    return all(phi.count(x) >= psi.count(x) for x in set(psi) - LETTERS)
 
 
 def count_unsat(e: Equation) -> bool:

@@ -2,10 +2,10 @@
 Reference definitions that the tests check the library against.
 
 They are written the plain way the paper states them, not the fast way the
-library computes them: occurrence counts and var-permutation by counting,
-the split loop by slicing and re-reducing the remainder after every split,
-and bounded enumeration by a walk over fully composed values whose leaves
-are instantiated with every ground word within the value bound.  The graph
+library computes them: occurrence counts, the count check and var-permutation
+by counting, the split loop by slicing and re-reducing the remainder after
+every split, and bounded enumeration by a walk over fully composed values
+whose leaves are instantiated with every ground word within the value bound.  The graph
 helpers at the end (expanded nodes, the program of a given walk) serve only
 the tests, so they live here rather than in the library.
 """
@@ -23,7 +23,6 @@ from wordeq.core import (
     Word,
     apply_to_word,
     ground_words,
-    letter_count,
 )
 from wordeq.graph import TLEAF, Node, SolutionGraph
 from wordeq.rewrite import Scheme, reduce
@@ -45,6 +44,24 @@ def apply_to_state(n: Narrowing, s: SystemState) -> SystemState:
 def erase_letters(w: Word) -> Word:
     """The subsequence of ``w`` consisting of its variables."""
     return "".join(c for c in w if c.islower())
+
+
+def letter_count(w: Word) -> int:
+    """Number of positions of ``w`` holding letters."""
+    return sum(map(str.isupper, w))
+
+
+def count_unsat(e: Equation) -> bool:
+    """Occurrence-counting test: one side has strictly more letters and at
+    least as many occurrences of every variable of the other, tried in both
+    directions."""
+
+    def dominated(phi: Word, psi: Word) -> bool:
+        return letter_count(phi) > letter_count(psi) and all(
+            count_occurrences(phi, x) >= count_occurrences(psi, x) for x in erase_letters(psi)
+        )
+
+    return dominated(e.lhs, e.rhs) or dominated(e.rhs, e.lhs)
 
 
 def count_occurrences(w: Word, t: str) -> int:

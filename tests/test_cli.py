@@ -1,5 +1,6 @@
 import csv
 import random
+import time
 
 import pytest
 
@@ -53,6 +54,35 @@ def test_usage_errors_exit_3(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 3
         assert "error" in capsys.readouterr().err
+
+
+def test_solve_timeout(tmp_path, capsys):
+    # a label-growth probe that runs for hours at the default node budget
+    path = write(tmp_path, "grow.eq", "y y x A z B = x z B z x\n")
+    started = time.monotonic()
+    code = main(["solve", path, "--timeout-ms", "50"])
+    assert time.monotonic() - started < 5
+    assert code == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "UNKNOWN"
+    assert out[1].endswith(" reason=timeout")
+
+
+def test_negative_timeout_exits_3(tmp_path, capsys):
+    path = write(tmp_path, "fig3b.eq", FIG3B)
+    for command in ("solve", "enumerate", "dot"):
+        assert main([command, path, "--timeout-ms", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "timeout must not be negative" in captured.err
+
+
+def test_enumerate_and_dot_take_a_timeout(tmp_path, capsys):
+    path = write(tmp_path, "fig3b.eq", FIG3B)
+    assert main(["enumerate", path, "--timeout-ms", "10000"]) == 0
+    assert "x=, y=" in capsys.readouterr().out.splitlines()
+    assert main(["dot", path, "--timeout-ms", "10000"]) == 0
+    assert capsys.readouterr().out.startswith("digraph solution_graph {")
 
 
 def test_solve_parse_error(tmp_path, capsys):

@@ -150,3 +150,14 @@ def test_state_invariants():
         SystemState(ACCEPTED.kind, (Equation("x", "y"),))
     assert ACCEPTED.is_accepted and not ACCEPTED.is_eqs
     assert CONTRADICTION.is_contradiction
+
+
+def test_state_hash_and_equality():
+    a = SystemState.of([Equation("xA", "Ax"), Equation("y", "B")])
+    b = SystemState.of((Equation("xA", "Ax"), Equation("y", "B")))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != SystemState.of([Equation("y", "B"), Equation("xA", "Ax")])
+    # the leaf states share a hash but stay distinct
+    assert ACCEPTED != CONTRADICTION
+    assert len({ACCEPTED, CONTRADICTION, SystemState.of([])}) == 3

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wordeq import graph as graph_module
 from wordeq.core import Equation, SystemState
 from wordeq.graph import (
     FLEAF,
@@ -252,6 +253,39 @@ def test_budget_validation():
         Budget(max_nodes=0)
     with pytest.raises(ValueError):
         Budget(max_depth=0)
+    with pytest.raises(ValueError):
+        build(parse_system("A x y = x y A"), Scheme.BASE, timeout_ms=-1)
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The (label, narrowing) pairs ``build`` unfolds, in call order."""
+    calls = []
+    unfold = graph_module.step
+    monkeypatch.setattr(graph_module, "step", lambda s, n, scheme: calls.append((s, n)) or unfold(s, n, scheme))
+    return calls
+
+
+def test_each_label_is_unfolded_once_per_build(step_calls):
+    # Criterion 4's equation under base: its 604 tree edges come from 144
+    # distinct (label, narrowing) pairs, and only those are unfolded.
+    system = parse_system("x y z A B A B A B = A A A B B B y z x")
+    outcome = build(system, Scheme.BASE, Budget(max_nodes=200_000))
+    assert len(outcome.graph.nodes) == 605
+    assert len(outcome.graph.tree_edges) == 604
+    assert outcome.complete and verdict(outcome) == UNSAT
+    assert len(step_calls) == len(set(step_calls)) == 144
+    # the table lives in one build: a second build unfolds everything again
+    build(system, Scheme.BASE, Budget(max_nodes=200_000))
+    assert len(step_calls) == 288
+
+
+def test_budget_refusal_unfolds_nothing(step_calls):
+    # the root has two narrowings, one more node than the budget allows
+    outcome = build(parse_system("A x y = x y A"), Scheme.BASE, Budget(max_nodes=2))
+    assert outcome.reason == "max_nodes"
+    assert len(outcome.graph.nodes) == 1
+    assert step_calls == []
 
 
 def test_max_depth_budget():

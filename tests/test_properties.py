@@ -1,15 +1,16 @@
-"""Property tests of the split loop, of duplicate-free labels, of bounded
-enumeration, and of verdicts against witnesses and the oracle."""
+"""Property tests of the split loop, of the count check, of duplicate-free
+labels, of graph edges against the unfold step, of bounded enumeration, and
+of verdicts against witnesses and the oracle."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from wordeq.core import Equation, SystemState
+from wordeq.core import Equation, SystemState, letter_count
 from wordeq.graph import SAT, UNSAT, Budget, build, verdict
 from wordeq.narrow import compatible_narrowings, step
 from wordeq.oracle import brute_solutions, satisfies, system_variables
-from wordeq.rewrite import Scheme, _split_pieces, reduce, simplify, simplify_equation
+from wordeq.rewrite import Scheme, _split_pieces, count_unsat, reduce, simplify, simplify_equation
 from wordeq.solutions import enumerate_solutions, min_witness, path_solution
 from wordeq.witness import verify
 
@@ -46,6 +47,16 @@ def test_one_pass_split_loop_equals_reference(e):
         if want is not None:
             want = list(dict.fromkeys(want))
         assert _split_pieces(scheme, e) == want, (e, scheme)
+
+
+LONG_WORDS = st.text("ABxyz", max_size=200)
+
+
+@SETTINGS
+@given(LONG_WORDS, LONG_WORDS)
+def test_count_check_equals_reference(lhs, rhs):
+    assert letter_count(lhs) == reference.letter_count(lhs)
+    assert count_unsat(E(lhs, rhs)) == reference.count_unsat(E(lhs, rhs))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -87,6 +98,21 @@ def test_labels_hold_each_equation_once(system, data):
 
 SIDES = st.text("ABxyz", min_size=1, max_size=6)
 SYSTEMS = st.lists(st.builds(E, SIDES, SIDES), min_size=1, max_size=2)
+
+
+@SETTINGS
+@given(SYSTEMS, st.sampled_from(list(Scheme)), st.sampled_from(["ancestor", "memo"]))
+def test_edges_follow_the_unfold_step(system, scheme, fold):
+    # Nodes with equal labels share one expansion per build; every node's
+    # edges must still be the ones its own label unfolds to.
+    assume(scheme is not Scheme.BASE or len(system) == 1)
+    graph = build(system, scheme, Budget(max_nodes=300), fold=fold).graph
+    for parent, out in graph.children.items():
+        label = graph.nodes[parent].label
+        assert [n for n, _ in out] == list(compatible_narrowings(label))
+        for n, child in out:
+            assert graph.nodes[child].label == step(label, n, scheme)
+            assert graph.nodes[child].depth == graph.nodes[parent].depth + 1
 
 
 @SETTINGS
