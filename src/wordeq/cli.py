@@ -129,6 +129,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # a flag every build refuses is a usage error, not one ERROR row per file
+    Budget(args.max_nodes, args.max_depth)
+    if args.timeout_ms is not None and args.timeout_ms < 0:
+        raise ValueError("timeout must not be negative")
     files = sorted(Path(args.dir).glob("*.eq"))
     if not files:
         print(f"error: no .eq files in {args.dir}", file=sys.stderr)

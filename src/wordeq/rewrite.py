@@ -12,6 +12,7 @@ simplification and the unfold step of ``narrow.step``.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -26,6 +27,12 @@ from .core import (
     apply_to_word,
     letter_count,
 )
+
+
+_LETTER = re.compile("[A-Z]")
+# Positions the split scan reads one by one before it looks for a stretch of
+# variables to skip; looking after every position slows the short scans.
+_SCAN_WINDOW = 16
 
 
 class Scheme(Enum):
@@ -76,70 +83,113 @@ def _split_scan(l: str, r: str, start: int, n: int) -> Optional[int]:
     prefixes agree.  The words scanned are those of a reduced equation, so
     their first terms are never two letters and every prefix pair holds a
     variable.
+
+    Two equal-length prefixes with equal variable counts also hold equally
+    many letters, so no split ends where the letters read so far differ.
+    The scan reads ``_SCAN_WINDOW`` positions at a time; after each window
+    in which the letters read differ, it skips the stretch of variables on
+    both sides that follows, adding the stretch's variables to the counts
+    at once, up to the next letter.
     """
     delta: dict = {}
     mismatched = 0
-    for k in range(start, start + n):
-        a, b = l[k], r[k]
-        if a.islower():
-            d = delta.get(a, 0)
-            if d == 0:
-                mismatched += 1
-            elif d == -1:
-                mismatched -= 1
-            delta[a] = d + 1
-        if b.islower():
-            d = delta.get(b, 0)
-            if d == 0:
-                mismatched += 1
-            elif d == 1:
-                mismatched -= 1
-            delta[b] = d - 1
-        if not mismatched:
-            return k + 1 - start
-    return None
+    stop = start + n
+    k = start
+    while True:
+        end = k + _SCAN_WINDOW
+        for k in range(k, end if end < stop else stop):
+            a, b = l[k], r[k]
+            if a.islower():
+                d = delta.get(a, 0)
+                if d == 0:
+                    mismatched += 1
+                elif d == -1:
+                    mismatched -= 1
+                delta[a] = d + 1
+            if b.islower():
+                d = delta.get(b, 0)
+                if d == 0:
+                    mismatched += 1
+                elif d == 1:
+                    mismatched -= 1
+                delta[b] = d - 1
+            if not mismatched:
+                return k + 1 - start
+        k += 1
+        if k >= stop:
+            return None
+        # the letters read differ when the variables read do in number
+        if sum(delta.values()) and l[k].islower() and r[k].islower():
+            found = _LETTER.search(l, k, stop)
+            j = found.start() if found else stop
+            found = _LETTER.search(r, k, j)
+            if found:
+                j = found.start()
+            for x in set(l[k:j]).union(r[k:j]):
+                delta[x] = delta.get(x, 0) + l.count(x, k, j) - r.count(x, k, j)
+            mismatched = len(delta) - list(delta.values()).count(0)
+            k = j
 
 
 def _split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
     """Split repeatedly, reducing the remainder after each split.
 
     ``BASE`` splits nothing, ``SPLIT`` makes left splits only, and
-    ``COUNT`` alternates left and right splits to a fixpoint, left splits
-    taking priority and being retried after every right split.  Returns
-    the pieces as ``[core] + suffixes + prefixes`` in discovery order,
-    keeping the first copy of each, or ``None`` when reducing some
-    remainder hits a contradiction.  ``e`` must be reduced.
+    ``COUNT`` then makes right splits on what is left.  Returns the pieces
+    as ``[core] + suffixes + prefixes`` in discovery order, keeping the
+    first copy of each, or ``None`` when reducing some remainder hits a
+    contradiction.  ``e`` must be reduced.
 
     Every split and every reduction removes as many terms from the front
     (or the back) of one side as of the other, so the remainder is
     ``l[a:len(l)-b] = r[a:len(r)-b]`` for two shared offsets.  The loop
     moves the offsets and slices each piece once.  Right splits scan the
-    reversed words from offset ``b``.  A right split is tried only on a
-    remainder that has no left split, so it never spans both whole sides.
+    reversed words from offset ``b``.
+
+    ``b`` stays 0 through the left splits, as the last terms of ``e``
+    differ.  Once the remainder has no left split, cutting a suffix off it
+    leaves it without one, so the right splits need no left split retried
+    between them and never span both whole sides.  A left piece has no
+    shorter var-permutated prefix and its first terms differ, so the
+    copies of it that follow on both sides are cut off with it: scanning
+    and reducing would split each off unchanged, and the dedup would drop
+    it.
     """
     if scheme is Scheme.BASE:
         return [e]
     l, r = e
     nl, nr = len(l), len(r)
-    rl, rr = l[::-1], r[::-1]
+    m = min(nl, nr)
     prefixes: List[Equation] = []
     suffixes: List[Equation] = []
     a = b = 0
-    while True:
-        n = min(nl, nr) - a - b
-        k = _split_scan(l, r, a, n)
-        if k is not None:
-            prefixes.append(Equation(l[a : a + k], r[a : a + k]))
-            a += k
-        elif scheme is Scheme.COUNT and (k := _split_scan(rl, rr, b, n)) is not None:
-            suffixes.append(Equation(l[nl - b - k : nl - b], r[nr - b - k : nr - b]))
-            b += k
-        else:
-            break
+    while a < m and (k := _split_scan(l, r, a, m - a)) is not None:
+        pl, pr = l[a : a + k], r[a : a + k]
+        prefixes.append(Equation(pl, pr))
+        a += k
+        # skip the copies in runs of doubling, then halving, length
+        ql, qr = pl, pr
+        while True:
+            if l.startswith(ql, a) and r.startswith(qr, a):
+                a += len(ql)
+                ql, qr = ql + ql, qr + qr
+            elif len(ql) > k:
+                ql, qr = ql[: len(ql) // 2], qr[: len(qr) // 2]
+            else:
+                break
         offsets = _strip(l, r, a, b)
         if offsets is None:
             return None
         a, b = offsets
+    if scheme is Scheme.COUNT and a < m:
+        rl, rr = l[::-1], r[::-1]
+        while a + b < m and (k := _split_scan(rl, rr, b, m - a - b)) is not None:
+            suffixes.append(Equation(l[nl - b - k : nl - b], r[nr - b - k : nr - b]))
+            b += k
+            offsets = _strip(l, r, a, b)
+            if offsets is None:
+                return None
+            a, b = offsets
     return list(dict.fromkeys([Equation(l[a : nl - b], r[a : nr - b])] + suffixes + prefixes))
 
 

@@ -245,6 +245,18 @@ def test_bench_budget_maps_to_unknown(tmp_path):
     assert rows[0]["result"] == "UNKNOWN"
 
 
+def test_bench_bad_build_flag_exits_3(tmp_path, capsys):
+    d = tmp_path / "suite"
+    d.mkdir()
+    (d / "a.eq").write_text(FIG3B)
+    for flags, message in ((["--timeout-ms", "-1"], "timeout must not be negative"),
+                           (["--max-nodes", "0"], "budget limits must be positive")):
+        assert main(["bench", str(d), *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 def _family_pattern_shuffled(rng):
     base = gen_instance("sro_rep", rng.randrange(10**6), n_vars=3, length=10)[0]
     variables = [c for c in base.rhs if c.islower()]

@@ -6,7 +6,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_fingerprints_of_named_instances_hold():
-    files = [os.path.join(ROOT, "benchmarks", "instances", w, "named.eq") for w in ("decide", "enumerate")]
+    # the named systems, and the budget-truncated builds of the two label workloads
+    files = [
+        os.path.join(ROOT, "benchmarks", "instances", *parts)
+        for parts in (
+            ("decide", "named.eq"),
+            ("enumerate", "named.eq"),
+            ("dup_labels", "criterion6.eq"),
+            ("long_labels", "criterion6.eq"),
+        )
+    ]
     run = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "fingerprint.py"), "--check", *files],
         capture_output=True, text=True, timeout=120,

@@ -23,22 +23,66 @@ WORDS = st.text("ABxyz", max_size=6)
 
 
 @st.composite
-def block_equations(draw):
+def block_equations(draw, max_times=4):
     """Sides made of the same blocks, each permuted on the right, repeated
     and padded: equations with many var-permutated prefixes and suffixes."""
     blocks = draw(st.lists(st.text("ABxz", min_size=1, max_size=3), max_size=3))
     lhs = "".join(blocks)
     rhs = "".join("".join(draw(st.permutations(block))) for block in blocks)
-    times = draw(st.integers(1, 4))
+    times = draw(st.integers(1, max_times))
     return E(draw(WORDS) + lhs * times + draw(WORDS), draw(WORDS) + rhs * times + draw(WORDS))
 
 
 EQUATIONS = st.one_of(st.builds(E, WORDS, WORDS), block_equations())
 
 
-@SETTINGS
-@given(EQUATIONS)
-def test_one_pass_split_loop_equals_reference(e):
+@st.composite
+def sparse_words(draw):
+    """Up to 300 variables over ``xyz`` with up to four letters put in."""
+    size = draw(st.integers(0, 300))  # a drawn size: text draws stay short
+    word = list(draw(st.text("xyz", min_size=size, max_size=size)))
+    for letter in draw(st.lists(st.sampled_from("AB"), max_size=4)):
+        word.insert(draw(st.integers(0, len(word))), letter)
+    return "".join(word)
+
+
+@st.composite
+def chunk_permuted_equations(draw):
+    """A long letter-sparse word against itself cut into chunks, each
+    shuffled, both sides padded: long scans that end in splits, on the left
+    or, when the padding blocks the left ones, on the right."""
+    lhs = draw(sparse_words())
+    cuts = sorted(draw(st.lists(st.integers(0, len(lhs)), max_size=6)))
+    rng = draw(st.randoms(use_true_random=False))
+    chunks = [list(lhs[i:j]) for i, j in zip([0] + cuts, cuts + [len(lhs)])]
+    for chunk in chunks:
+        rng.shuffle(chunk)
+    rhs = "".join("".join(chunk) for chunk in chunks)
+    return E(draw(WORDS) + lhs + draw(WORDS), draw(WORDS) + rhs + draw(WORDS))
+
+
+@st.composite
+def repeat_equations(draw):
+    """Distinct terms against a rotation of them, repeated up to 100 times,
+    both sides ending in the same-length start of one more copy and a
+    padding word: long runs of one left piece."""
+    lhs = "".join(draw(st.lists(st.sampled_from("ABxyz"), min_size=2, max_size=4, unique=True)))
+    j = draw(st.integers(1, len(lhs) - 1))
+    rhs = lhs[j:] + lhs[:j]
+    times = draw(st.integers(1, 100))
+    i = draw(st.integers(0, len(lhs)))
+    return E(lhs * times + lhs[:i] + draw(WORDS), rhs * times + rhs[:i] + draw(WORDS))
+
+
+LONG_EQUATIONS = st.one_of(
+    st.builds(E, sparse_words(), sparse_words()),
+    chunk_permuted_equations(),
+    block_equations(max_times=100),
+    repeat_equations(),
+)
+
+
+def check_split_loop(e: Equation) -> None:
     e = reduce(e)
     if e is None:
         return
@@ -47,6 +91,19 @@ def test_one_pass_split_loop_equals_reference(e):
         if want is not None:
             want = list(dict.fromkeys(want))
         assert _split_pieces(scheme, e) == want, (e, scheme)
+
+
+@SETTINGS
+@given(EQUATIONS)
+def test_one_pass_split_loop_equals_reference(e):
+    check_split_loop(e)
+
+
+@SETTINGS
+@given(LONG_EQUATIONS)
+def test_split_loop_equals_reference_on_long_sparse_equations(e):
+    # long stretches of variables between letters, and long runs of one piece
+    check_split_loop(e)
 
 
 LONG_WORDS = st.text("ABxyz", max_size=200)

@@ -99,6 +99,17 @@ def test_repeated_pieces_are_checked_once(monkeypatch):
     assert checked == [E("xz", "zx")]
 
 
+def test_repeated_pieces_are_scanned_once(monkeypatch):
+    # the 299 copies that follow the first x z = z x are skipped unscanned
+    calls = []
+    scan = rewrite._split_scan
+    monkeypatch.setattr(rewrite, "_split_scan", lambda *args: calls.append(args) or scan(*args))
+    for scheme in (Scheme.SPLIT, Scheme.COUNT):
+        calls.clear()
+        assert simplify_equation(scheme, E("xz" * 300, "zx" * 300)) == [E("xz", "zx")]
+        assert len(calls) <= 2, scheme
+
+
 def test_count_unsat():
     assert count_unsat(E("yBz", "zy"))
     assert not count_unsat(E("xxA", "Axx"))
