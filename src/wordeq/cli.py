@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import List, NoReturn, Optional
 
 from . import oracle as oraclemod
-from .core import Equation, system_letters, system_variables
+from .core import MAX_GROUND_WORDS, Equation, ground_words, system_letters, system_variables
 from .graph import SAT, UNKNOWN, UNSAT, Budget, BuildOutcome, build, to_dot, verdict
 from .parse import ParseError, parse_program, parse_system, serialize_program
 from .rewrite import Scheme
@@ -25,8 +25,6 @@ from .witness import verify
 
 EXIT = {SAT: 0, UNSAT: 1, UNKNOWN: 2}
 ERROR_EXIT = 3
-# The most assignments ``oracle`` tries: about 2 s at ~2 us each.
-ORACLE_MAX_ASSIGNMENTS = 10**6
 
 
 def _read_system(path: str) -> List[Equation]:
@@ -46,10 +44,9 @@ def _build(args: argparse.Namespace, system: List[Equation]) -> BuildOutcome:
     return build(
         system,
         Scheme(args.scheme),
-        Budget(args.max_nodes, args.max_depth),
+        Budget(args.max_nodes, args.max_depth, args.timeout_ms),
         early_stop=args.early_stop,
         fold=args.fold,
-        timeout_ms=args.timeout_ms,
     )
 
 
@@ -110,16 +107,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if not alphabet:
         print("error: no letters in input; pass --alphabet", file=sys.stderr)
         return ERROR_EXIT
-    # The oracle lists the ground words up to the bound, then tries every
-    # assignment of them; count both, stopping once past the cap.
-    words = layer = 1
-    for _ in range(args.max_len):
-        layer *= len(alphabet)
-        words += layer
-        if words > ORACLE_MAX_ASSIGNMENTS:
-            break
-    if max(words, words ** len(system_variables(system))) > ORACLE_MAX_ASSIGNMENTS:
-        print(f"error: more than {ORACLE_MAX_ASSIGNMENTS} assignments to try; "
+    # The oracle tries every assignment of the ground words up to the bound.
+    if len(ground_words(alphabet, args.max_len)) ** len(system_variables(system)) > MAX_GROUND_WORDS:
+        print(f"error: more than {MAX_GROUND_WORDS} assignments to try; "
               "lower --max-len or use fewer letters", file=sys.stderr)
         return ERROR_EXIT
     found = oraclemod.brute_solutions(system, alphabet, args.max_len)
@@ -130,9 +120,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     # a flag every build refuses is a usage error, not one ERROR row per file
-    Budget(args.max_nodes, args.max_depth)
-    if args.timeout_ms is not None and args.timeout_ms < 0:
-        raise ValueError("timeout must not be negative")
+    Budget(args.max_nodes, args.max_depth, args.timeout_ms)
     files = sorted(Path(args.dir).glob("*.eq"))
     if not files:
         print(f"error: no .eq files in {args.dir}", file=sys.stderr)

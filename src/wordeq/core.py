@@ -39,10 +39,6 @@ class Equation(NamedTuple):
     lhs: Word
     rhs: Word
 
-    @property
-    def length(self) -> int:
-        return len(self.lhs) + len(self.rhs)
-
     def variables(self) -> frozenset:
         return variables_of(self.lhs) | variables_of(self.rhs)
 
@@ -123,15 +119,11 @@ class Narrowing:
                 raise ValueError(f"{self.var} -> {self.var} {self.var} is not allowed")
 
     @property
-    def is_eps(self) -> bool:
-        return self.target == ""
-
-    @property
     def replacement(self) -> Word:
         return self.target + self.var if self.target else ""
 
     def __str__(self) -> str:
-        if self.is_eps:
+        if not self.target:
             return f"{self.var} ->"
         return f"{self.var} -> {self.target} {self.var}"
 
@@ -165,6 +157,10 @@ def system_letters(system: Iterable[Equation]) -> List[str]:
     return sorted(set().union(*(e.letters() for e in system)))
 
 
+# The most ground words (or assignments, or instances) a bounded enumeration
+# lists: about 2 s of work at ~2 us each.
+MAX_GROUND_WORDS = 10**6
+
 _DROP_LETTERS = str.maketrans("", "", "".join(LETTERS))
 
 
@@ -188,11 +184,14 @@ def compose_value(p: Iterable[Narrowing], x: str) -> Word:
 
 def ground_words(alphabet: Iterable[str], max_len: int) -> list:
     """All ground words over the alphabet up to the bound, shortest first,
-    lexicographic within a length."""
+    lexicographic within a length; ``ValueError`` rather than list more
+    than ``MAX_GROUND_WORDS``."""
     alphabet = sorted(alphabet)
     out = [""]
     layer = [""]
-    for _ in range(max_len):
+    for _ in range(max_len if alphabet else 0):
+        if len(out) + len(layer) * len(alphabet) > MAX_GROUND_WORDS:
+            raise ValueError(f"more than {MAX_GROUND_WORDS} ground words up to length {max_len}")
         layer = [w + a for w in layer for a in alphabet]
         out.extend(layer)
     return out

@@ -35,12 +35,18 @@ FOLD_MEMO = "memo"
 
 @dataclass(frozen=True)
 class Budget:
+    """The limits of one build; ``timeout_ms`` (wall time, ``None`` for no
+    limit) is checked before every expansion."""
+
     max_nodes: int = 1_000_000
     max_depth: int = 10_000
+    timeout_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_nodes < 1 or self.max_depth < 1:
             raise ValueError("budget limits must be positive")
+        if self.timeout_ms is not None and not self.timeout_ms >= 0:  # NaN too
+            raise ValueError("timeout must not be negative or NaN")
 
 
 class Node(NamedTuple):
@@ -99,8 +105,11 @@ class SolutionGraph:
 @dataclass
 class BuildOutcome:
     graph: SolutionGraph
-    complete: bool
     reason: Optional[str] = None  # why expansion stopped, when incomplete
+
+    @property
+    def complete(self) -> bool:
+        return self.reason is None
 
 
 SAT = "SAT"
@@ -115,24 +124,20 @@ def build(
     *,
     early_stop: bool = False,
     fold: str = FOLD_ANCESTOR,
-    timeout_ms: Optional[float] = None,
 ) -> BuildOutcome:
     """Build the (partial) solution graph of an equation system.
 
     The root is the simplified input; expansion is depth first, children
     in narrowing order, so node numbering and the serialized graph are
-    deterministic.  Exceeding the budget (or the optional cooperative
-    timeout, checked per expansion) stops expansion and is reported in the
-    outcome, not raised.  With ``early_stop`` the build halts at the first
-    accepting leaf.
+    deterministic.  Exceeding the budget, its timeout included, stops
+    expansion and is reported in the outcome, not raised.  With
+    ``early_stop`` the build halts at the first accepting leaf.
     """
     if not system:
         raise ValueError("empty system")
     if fold not in (FOLD_ANCESTOR, FOLD_MEMO):
         raise ValueError(f"unknown fold mode {fold!r}")
-    if timeout_ms is not None and timeout_ms < 0:
-        raise ValueError("timeout must not be negative")
-    deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
+    deadline = None if budget.timeout_ms is None else time.monotonic() + budget.timeout_ms / 1000.0
 
     root_label = simplify(scheme, SystemState.of(system))
     nodes = [Node(0, root_label, 0)]
@@ -199,7 +204,7 @@ def build(
         for _, child_id in reversed(children):
             stack.append((ENTER, child_id))
 
-    return BuildOutcome(graph, complete=reason is None, reason=reason)
+    return BuildOutcome(graph, reason)
 
 
 def verdict(outcome: BuildOutcome) -> str:

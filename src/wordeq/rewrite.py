@@ -193,17 +193,17 @@ def _split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
     return list(dict.fromkeys([Equation(l[a : nl - b], r[a : nr - b])] + suffixes + prefixes))
 
 
-def _letters_dominated(phi: str, psi: str) -> bool:
-    """Prop-style check: phi has strictly more letters and at least as many
-    occurrences of every variable, hence the equation has no solution."""
-    if letter_count(phi) <= letter_count(psi):
-        return False
-    return all(phi.count(x) >= psi.count(x) for x in set(psi) - LETTERS)
-
-
 def count_unsat(e: Equation) -> bool:
-    """Occurrence-counting unsatisfiability test, tried in both directions."""
-    return _letters_dominated(e.lhs, e.rhs) or _letters_dominated(e.rhs, e.lhs)
+    """Occurrence-counting unsatisfiability test: one side has strictly more
+    letters and at least as many occurrences of every variable, so it is
+    longer than the other under every substitution."""
+    phi, psi = e
+    surplus = letter_count(phi) - letter_count(psi)
+    if surplus == 0:
+        return False
+    if surplus < 0:
+        phi, psi = psi, phi
+    return all(phi.count(x) >= psi.count(x) for x in set(psi) - LETTERS)
 
 
 def simplify_equation(scheme: Scheme, eq: Equation) -> Optional[List[Equation]]:

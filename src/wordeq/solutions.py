@@ -16,10 +16,12 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
+from math import prod
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     LETTERS,
+    MAX_GROUND_WORDS,
     Narrowing,
     Program,
     Word,
@@ -49,13 +51,6 @@ class Solution:
     @staticmethod
     def of(assignment: Dict[str, Word], residual_free: Iterable[str] = ()) -> "Solution":
         return Solution(tuple(sorted(assignment.items())), frozenset(residual_free))
-
-    def as_dict(self) -> Dict[str, Word]:
-        return dict(self.items)
-
-    @property
-    def is_ground(self) -> bool:
-        return not self.residual_free
 
     def __str__(self) -> str:
         return ", ".join(f"{var}={value}" for var, value in self.items)
@@ -178,11 +173,14 @@ def _normal(nid: int, values: Tuple[Word, ...], empty: FrozenSet[str], max_value
 def _instantiate(values: Tuple[Word, ...], words: Callable, max_value_len: int, out: Set) -> None:
     """Add every ground instance of the leaf values within the value bound.  A
     residual variable takes only ``words(r // k)``, the ground words up to the
-    least ``r // k`` over the values with room ``r`` holding it ``k`` times."""
+    least ``r // k`` over the values with room ``r`` holding it ``k`` times.
+    ``ValueError`` rather than try more than ``MAX_GROUND_WORDS`` instances."""
     residual = sorted({c for v in values for c in v if c.islower()})
     room = [max_value_len - letter_count(v) for v in values]
     caps = [min(r // v.count(x) for v, r in zip(values, room) if x in v) for x in residual]
     choices = [words(cap) for cap in caps]
+    if prod(map(len, choices)) > MAX_GROUND_WORDS:
+        raise ValueError(f"more than {MAX_GROUND_WORDS} ground instances of a solution")
     keys = [ord(x) for x in residual]
     for combo in product(*choices):
         table = dict(zip(keys, combo))

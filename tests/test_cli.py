@@ -71,10 +71,11 @@ def test_solve_timeout(tmp_path, capsys):
 def test_negative_timeout_exits_3(tmp_path, capsys):
     path = write(tmp_path, "fig3b.eq", FIG3B)
     for command in ("solve", "enumerate", "dot"):
-        assert main([command, path, "--timeout-ms", "-1"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "timeout must not be negative" in captured.err
+        for timeout in ("-1", "nan"):
+            assert main([command, path, "--timeout-ms", timeout]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "timeout must not be negative" in captured.err
 
 
 def test_enumerate_and_dot_take_a_timeout(tmp_path, capsys):
@@ -122,6 +123,20 @@ def test_enumerate_negative_bound(tmp_path, capsys, monkeypatch):
         assert code == 3
         assert captured.out == ""
         assert "error: enumeration bounds must not be negative" in captured.err
+
+
+def test_enumerate_refuses_too_many_ground_words(tmp_path, capsys):
+    # x y = y x at length 30 would list 2^31 - 1 words for a residual variable;
+    # x y z = z y x at length 12 reaches a leaf whose two residual variables
+    # would each take 8191 words
+    for text, max_len, message in (("x y = y x\n", "30", "ground words up to length 30"),
+                                   ("x y z = z y x\n", "12", "ground instances of a solution")):
+        path = write(tmp_path, "big.eq", text)
+        assert main(["enumerate", path, "--max-len", max_len, "--alphabet", "AB"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: more than {cli.MAX_GROUND_WORDS} {message}" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_enumerate_unsat(tmp_path, capsys):
@@ -215,7 +230,7 @@ def test_oracle_caps_its_work(tmp_path, capsys, monkeypatch):
     assert main(["oracle", eq, "--max-len", "7", "--alphabet", "AB"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"more than {cli.ORACLE_MAX_ASSIGNMENTS} assignments" in captured.err
+    assert f"more than {cli.MAX_GROUND_WORDS} assignments" in captured.err
 
 
 def test_bench(tmp_path, capsys):
@@ -250,6 +265,7 @@ def test_bench_bad_build_flag_exits_3(tmp_path, capsys):
     d.mkdir()
     (d / "a.eq").write_text(FIG3B)
     for flags, message in ((["--timeout-ms", "-1"], "timeout must not be negative"),
+                           (["--timeout-ms", "nan"], "timeout must not be negative"),
                            (["--max-nodes", "0"], "budget limits must be positive")):
         assert main(["bench", str(d), *flags]) == 3
         captured = capsys.readouterr()

@@ -9,8 +9,10 @@ from wordeq.core import (
     Narrowing,
     SystemState,
     apply_to_word,
+    MAX_GROUND_WORDS,
     compose_value,
     eps,
+    ground_words,
     letter_count,
     prepend_letter,
     prepend_var,
@@ -120,6 +122,15 @@ def test_compose_value_concatenation():
             for n in p2:
                 split = apply_to_word(n, split)
             assert compose_value(p1 + p2, x) == split
+
+
+def test_ground_words():
+    assert ground_words("BA", 2) == ["", "A", "B", "AA", "AB", "BA", "BB"]
+    assert len(ground_words("AB", 18)) == 2**19 - 1 <= MAX_GROUND_WORDS
+    with pytest.raises(ValueError, match=f"more than {MAX_GROUND_WORDS} ground words"):
+        ground_words("AB", 19)
+    # no letters, no words but the empty one, however large the bound
+    assert ground_words("", 10**9) == [""]
 
 
 def test_narrowing_construction():

@@ -254,7 +254,9 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(max_depth=0)
     with pytest.raises(ValueError):
-        build(parse_system("A x y = x y A"), Scheme.BASE, timeout_ms=-1)
+        Budget(timeout_ms=-1)
+    with pytest.raises(ValueError):
+        Budget(timeout_ms=float("nan"))
 
 
 @pytest.fixture

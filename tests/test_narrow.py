@@ -125,9 +125,9 @@ def test_step_soundness():
                 continue
             variables = system_variables([e])
             for sol in brute_solutions(list(child.equations), "AB", 2, variables=variables):
-                values = sol.as_dict()
+                values = dict(sol.items)
                 extended = dict(values)
-                if n.is_eps:
+                if not n.target:
                     extended[n.var] = ""
                 elif n.target.isupper():
                     extended[n.var] = n.target + values[n.var]
@@ -192,10 +192,11 @@ def test_length_monotonicity_for_var_permutated_sides():
             continue
         parent = state(e)
         for n in compatible_narrowings(parent):
-            if n.is_eps:
+            if not n.target:
                 continue
             child = step(parent, n, Scheme.BASE)
             if child.is_eqs:
                 checked += 1
-                assert child.equations[0].length >= e.length, (e, str(n))
+                first = child.equations[0]
+                assert len(first.lhs) + len(first.rhs) >= len(e.lhs) + len(e.rhs), (e, str(n))
     assert checked > 100

@@ -201,7 +201,7 @@ def test_verdicts_agree_with_witnesses_and_oracle(system):
         assert verify(witness, system, Scheme.COUNT)
         # the composed values solve the system as they stand, and so does
         # their ground instance with every residual variable erased
-        solution = path_solution(witness, variables).as_dict()
+        solution = dict(path_solution(witness, variables).items)
         assert satisfies(system, solution)
         erase = dict.fromkeys(map(ord, "xyz"))
         assert satisfies(system, {x: v.translate(erase) for x, v in solution.items()})

@@ -38,7 +38,7 @@ def test_reduce_idempotent_and_shrinking():
         r = reduce(e)
         if r is None:
             continue
-        assert r.length <= e.length
+        assert len(r.lhs) + len(r.rhs) <= len(e.lhs) + len(e.rhs)
         assert reduce(r) == r
 
 

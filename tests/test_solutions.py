@@ -52,14 +52,14 @@ def test_extract_program_errors(fig3b):
 
 def test_path_solution():
     sol = path_solution((prepend_letter("x", "A"), eps("x")), {"x", "y"})
-    assert sol.as_dict() == {"x": "A", "y": "y"}
+    assert dict(sol.items) == {"x": "A", "y": "y"}
     assert sol.residual_free == {"y"}
 
     free = path_solution((), {"x"})
     assert free.residual_free == {"x"}
 
     partial = path_solution((eps("y"),), {"x", "y"})
-    assert partial.as_dict() == {"x": "x", "y": ""}
+    assert dict(partial.items) == {"x": "x", "y": ""}
     assert partial.residual_free == {"x"}
 
 
@@ -146,11 +146,11 @@ def test_enumerated_solutions_satisfy_system():
         outcome = build(system, Scheme.COUNT, Budget(max_nodes=3000))
         for sol in enumerate_solutions(outcome.graph, 2, 16, "AB"):
             checked += 1
-            assert satisfies(system, sol.as_dict()), (system, sol)
+            assert satisfies(system, dict(sol.items)), (system, sol)
     assert checked > 20
 
 
 def test_solution_rendering():
     sol = Solution.of({"x": "AB", "y": "", "z": "A"})
     assert str(sol) == "x=AB, y=, z=A"
-    assert sol.is_ground
+    assert not sol.residual_free
