@@ -157,8 +157,8 @@ def system_letters(system: Iterable[Equation]) -> List[str]:
     return sorted(set().union(*(e.letters() for e in system)))
 
 
-# The most ground words (or assignments, or instances) a bounded enumeration
-# lists: about 2 s of work at ~2 us each.
+# The most ground words (and letters in them, assignments or instances) a
+# bounded enumeration lists: about 2 s of work at ~2 us each.
 MAX_GROUND_WORDS = 10**6
 
 _DROP_LETTERS = str.maketrans("", "", "".join(LETTERS))
@@ -185,13 +185,15 @@ def compose_value(p: Iterable[Narrowing], x: str) -> Word:
 def ground_words(alphabet: Iterable[str], max_len: int) -> list:
     """All ground words over the alphabet up to the bound, shortest first,
     lexicographic within a length; ``ValueError`` rather than list more
-    than ``MAX_GROUND_WORDS``."""
+    than ``MAX_GROUND_WORDS`` letters, so also more words than that."""
     alphabet = sorted(alphabet)
     out = [""]
     layer = [""]
-    for _ in range(max_len if alphabet else 0):
-        if len(out) + len(layer) * len(alphabet) > MAX_GROUND_WORDS:
-            raise ValueError(f"more than {MAX_GROUND_WORDS} ground words up to length {max_len}")
+    letters = 0
+    for n in range(1, max_len + 1 if alphabet else 1):
+        letters += len(layer) * len(alphabet) * n
+        if letters > MAX_GROUND_WORDS:
+            raise ValueError(f"more than {MAX_GROUND_WORDS} letters in the ground words up to length {max_len}")
         layer = [w + a for w in layer for a in alphabet]
         out.extend(layer)
     return out

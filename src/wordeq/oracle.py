@@ -33,7 +33,7 @@ def brute_solutions(
     ``variables`` may widen the enumeration to a superset of the system's
     own variables (the extras are unconstrained but still enumerated).  An
     empty alphabet, a symbol other than a letter A-Z, a negative bound and
-    more than ``MAX_GROUND_WORDS`` ground words raise ``ValueError``.
+    ground words of more than ``MAX_GROUND_WORDS`` letters raise ``ValueError``.
     """
     if not alphabet:
         raise ValueError("empty alphabet")

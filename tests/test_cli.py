@@ -126,13 +126,16 @@ def test_enumerate_negative_bound(tmp_path, capsys, monkeypatch):
 
 
 def test_enumerate_refuses_too_many_ground_words(tmp_path, capsys):
-    # x y = y x at length 30 would list 2^31 - 1 words for a residual variable;
-    # x y z = z y x at length 12 reaches a leaf whose two residual variables
-    # would each take 8191 words
-    for text, max_len, message in (("x y = y x\n", "30", "ground words up to length 30"),
-                                   ("x y z = z y x\n", "12", "ground instances of a solution")):
+    # x y = y x at length 30 would list 2^31 - 1 words for a residual variable,
+    # and over A at length 100000 about 5 * 10^9 letters; x y z = z y x at
+    # length 12 reaches a leaf whose two residual variables would each take
+    # 8191 words
+    for text, max_len, alphabet, message in (
+            ("x y = y x\n", "30", "AB", "letters in the ground words up to length 30"),
+            ("x y = y x\n", "100000", "A", "letters in the ground words up to length 100000"),
+            ("x y z = z y x\n", "12", "AB", "ground instances of a solution")):
         path = write(tmp_path, "big.eq", text)
-        assert main(["enumerate", path, "--max-len", max_len, "--alphabet", "AB"]) == 3
+        assert main(["enumerate", path, "--max-len", max_len, "--alphabet", alphabet]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: more than {cli.MAX_GROUND_WORDS} {message}" in captured.err
@@ -231,6 +234,13 @@ def test_oracle_caps_its_work(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"more than {cli.MAX_GROUND_WORDS} assignments" in captured.err
+    # over one letter the words are few but long: refused before they are listed
+    eq = write(tmp_path, "comm.eq", "x y = y x\n")
+    assert main(["oracle", eq, "--max-len", "1000000000", "--alphabet", "A"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"more than {cli.MAX_GROUND_WORDS} letters" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_bench(tmp_path, capsys):

@@ -126,9 +126,13 @@ def test_compose_value_concatenation():
 
 def test_ground_words():
     assert ground_words("BA", 2) == ["", "A", "B", "AA", "AB", "BA", "BB"]
-    assert len(ground_words("AB", 18)) == 2**19 - 1 <= MAX_GROUND_WORDS
-    with pytest.raises(ValueError, match=f"more than {MAX_GROUND_WORDS} ground words"):
-        ground_words("AB", 19)
+    # the cap counts letters: 14 * 2^16 + 2 of them up to length 15 over AB,
+    # 1413 * 1414 / 2 up to length 1413 over A
+    assert len(ground_words("AB", 15)) == 2**16 - 1
+    assert len(ground_words("A", 1413)) == 1414
+    for alphabet, max_len in (("AB", 16), ("A", 1414), ("A", 10**9)):
+        with pytest.raises(ValueError, match=f"more than {MAX_GROUND_WORDS} letters"):
+            ground_words(alphabet, max_len)
     # no letters, no words but the empty one, however large the bound
     assert ground_words("", 10**9) == [""]
 
