@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import List, NoReturn, Optional
 
 from . import oracle as oraclemod
-from .core import MAX_GROUND_WORDS, Equation, ground_words, system_letters, system_variables
+from .core import Equation
 from .graph import SAT, UNKNOWN, UNSAT, Budget, BuildOutcome, build, to_dot, verdict
 from .parse import ParseError, parse_program, parse_system, serialize_program
 from .rewrite import Scheme
@@ -36,18 +36,12 @@ def _add_build_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-nodes", type=int, default=Budget().max_nodes)
     sub.add_argument("--max-depth", type=int, default=Budget().max_depth)
     sub.add_argument("--early-stop", action="store_true")
-    sub.add_argument("--fold", choices=["ancestor", "memo"], default="ancestor")
     sub.add_argument("--timeout-ms", type=float, default=None)
 
 
 def _build(args: argparse.Namespace, system: List[Equation]) -> BuildOutcome:
-    return build(
-        system,
-        Scheme(args.scheme),
-        Budget(args.max_nodes, args.max_depth, args.timeout_ms),
-        early_stop=args.early_stop,
-        fold=args.fold,
-    )
+    budget = Budget(args.max_nodes, args.max_depth, args.timeout_ms)
+    return build(system, Scheme(args.scheme), budget, early_stop=args.early_stop)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -103,16 +97,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     system = _read_system(args.file)
-    alphabet = check_alphabet(args.alphabet) if args.alphabet else system_letters(system)
-    if not alphabet:
-        print("error: no letters in input; pass --alphabet", file=sys.stderr)
-        return ERROR_EXIT
-    # The oracle tries every assignment of the ground words up to the bound.
-    if len(ground_words(alphabet, args.max_len)) ** len(system_variables(system)) > MAX_GROUND_WORDS:
-        print(f"error: more than {MAX_GROUND_WORDS} assignments to try; "
-              "lower --max-len or use fewer letters", file=sys.stderr)
-        return ERROR_EXIT
-    found = oraclemod.brute_solutions(system, alphabet, args.max_len)
+    found = oraclemod.brute_solutions(system, args.alphabet or None, args.max_len)
     for solution in sorted(found, key=lambda s: s.items):
         print(solution)
     return 0 if found else 1

@@ -5,13 +5,11 @@ folding back to an equal-labelled ancestor, under node/depth budgets.
 A node whose label textually equals the label of one of its ancestors is
 closed by a back edge to that ancestor instead of being expanded; its
 subtree would repeat the ancestor's.  Equal labels on *different* paths
-are deliberately not merged (the default), so back edges always point to
-proper ancestors.  They do share one expansion per build: the narrowings
+are deliberately not merged, so back edges always point to proper
+ancestors.  They do share one expansion per build: the narrowings
 and child labels of a label are computed the first time a node with that
 label is expanded, and every later node with an equal label gets its own
-new children from that table.  A global memoizing mode is available behind
-a flag; it changes the graph shape but not the verdict or the accepted
-programs.
+new children from that table.
 """
 
 from __future__ import annotations
@@ -28,9 +26,6 @@ from .rewrite import Scheme, simplify
 INTERNAL = "internal"
 TLEAF = "tleaf"
 FLEAF = "fleaf"
-
-FOLD_ANCESTOR = "ancestor"
-FOLD_MEMO = "memo"
 
 
 @dataclass(frozen=True)
@@ -84,9 +79,6 @@ class SolutionGraph:
         """(folded node, target) pairs in fold order."""
         return list(self.fold_target.items())
 
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
     def edges_from(self, node_id: int) -> List[Tuple[Optional[Narrowing], int]]:
         """Outgoing walkable edges: tree edges (with narrowing), then the
         back edge (without) if the node is folded."""
@@ -123,7 +115,6 @@ def build(
     budget: Budget = Budget(),
     *,
     early_stop: bool = False,
-    fold: str = FOLD_ANCESTOR,
 ) -> BuildOutcome:
     """Build the (partial) solution graph of an equation system.
 
@@ -135,8 +126,6 @@ def build(
     """
     if not system:
         raise ValueError("empty system")
-    if fold not in (FOLD_ANCESTOR, FOLD_MEMO):
-        raise ValueError(f"unknown fold mode {fold!r}")
     deadline = None if budget.timeout_ms is None else time.monotonic() + budget.timeout_ms / 1000.0
 
     root_label = simplify(scheme, SystemState.of(system))
@@ -147,13 +136,12 @@ def build(
 
     ENTER, EXIT = 0, 1
     stack: List[Tuple[int, object]] = [(ENTER, 0)]
-    # Labels a node may fold to: those on its path (ancestor mode), or
-    # those of every node visited before it (memo mode).
+    # The labels of the expanded nodes on the current path: the ones a
+    # node may fold to.
     fold_to: Dict[SystemState, int] = {}
     # The narrowings and child labels of every label expanded so far; a
     # node whose label is already here reuses them instead of unfolding.
     expansions: Dict[SystemState, List[Tuple[Narrowing, SystemState]]] = {}
-    ancestor = fold == FOLD_ANCESTOR
 
     while stack:
         op, arg = stack.pop()
@@ -168,8 +156,6 @@ def build(
         if target is not None:
             graph.fold_target[node.id] = target
             continue
-        if not ancestor:
-            fold_to[label] = node.id
         if halted:
             reason = reason or "early_stop"
             continue
@@ -198,9 +184,8 @@ def build(
             nodes.append(Node(len(nodes), child_label, node.depth + 1))
             if early_stop and child_label.is_accepted:
                 halted = True
-        if ancestor:
-            fold_to[label] = node.id
-            stack.append((EXIT, label))
+        fold_to[label] = node.id
+        stack.append((EXIT, label))
         for _, child_id in reversed(children):
             stack.append((ENTER, child_id))
 

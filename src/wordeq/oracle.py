@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, Optional, Sequence, Set
 
-from .core import Equation, Word, ground_words, system_variables
+from .core import MAX_GROUND_WORDS, Equation, Word, ground_words, system_letters, system_variables
 from .solutions import Solution, check_alphabet
 
 
@@ -24,23 +24,30 @@ def satisfies(system: Sequence[Equation], assignment: Dict[str, Word]) -> bool:
 
 def brute_solutions(
     system: Sequence[Equation],
-    alphabet: Sequence[str],
+    alphabet: Optional[Sequence[str]],
     max_value_len: int,
     variables: Optional[Sequence[str]] = None,
 ) -> Set[Solution]:
     """All ground solutions with value lengths up to the bound.
 
-    ``variables`` may widen the enumeration to a superset of the system's
-    own variables (the extras are unconstrained but still enumerated).  An
-    empty alphabet, a symbol other than a letter A-Z, a negative bound and
-    ground words of more than ``MAX_GROUND_WORDS`` letters raise ``ValueError``.
+    ``alphabet`` ``None`` means the system's own letters.  ``variables`` may
+    widen the enumeration to a superset of the system's own variables (the
+    extras are unconstrained but still enumerated).  No letters, a symbol
+    other than a letter A-Z, a negative bound, and more than
+    ``MAX_GROUND_WORDS`` letters in the ground words or assignments to try
+    raise ``ValueError``.
     """
-    if not alphabet:
-        raise ValueError("empty alphabet")
     if max_value_len < 0:
         raise ValueError("the value bound must not be negative")
+    if alphabet is None:
+        alphabet = system_letters(system)
+    if not alphabet:
+        raise ValueError("no letters given: the alphabet is empty")
     names = sorted(variables) if variables is not None else system_variables(system)
     words = ground_words(check_alphabet(alphabet), max_value_len)
+    if len(words) ** len(names) > MAX_GROUND_WORDS:
+        raise ValueError(f"more than {MAX_GROUND_WORDS} assignments to try; "
+                         "lower the value bound or use fewer letters")
     out: Set[Solution] = set()
     for values in product(words, repeat=len(names)):
         assignment = dict(zip(names, values))

@@ -170,7 +170,7 @@ def enumerate_solutions(
     steps = 0
     while frontier:
         for nid, values in frontier:
-            if graph.node(nid).kind == TLEAF:
+            if graph.nodes[nid].kind == TLEAF:
                 _instantiate(variables, values, alphabet, max_value_len, solutions)
         if steps == max_path_len:
             break
@@ -240,6 +240,6 @@ def extract_program(graph: SolutionGraph, path: Sequence[int]) -> Program:
                 break
         else:
             raise ValueError(f"no edge from node {src} to node {dst}")
-    if graph.node(path[-1]).kind != TLEAF:
+    if graph.nodes[path[-1]].kind != TLEAF:
         raise ValueError("walk does not end at an accepting leaf")
     return tuple(steps)

@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from wordeq import cli
+from wordeq import cli, oracle
 from wordeq.cli import main
-from wordeq.core import Equation
+from wordeq.core import MAX_GROUND_WORDS, Equation
 from wordeq.parse import serialize_system
 from generators import gen_instance
 
@@ -49,7 +49,8 @@ def test_solve_unknown_on_budget(tmp_path, capsys):
 
 def test_usage_errors_exit_3(tmp_path, capsys):
     path = write(tmp_path, "fig3b.eq", FIG3B)
-    for argv in (["solve", path, "--scheme", "bogus"], ["solve", path, "--max-nodes", "ten"]):
+    for argv in (["solve", path, "--scheme", "bogus"], ["solve", path, "--max-nodes", "ten"],
+                 ["solve", path, "--fold", "memo"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 3
@@ -138,7 +139,7 @@ def test_enumerate_refuses_too_many_ground_words(tmp_path, capsys):
         assert main(["enumerate", path, "--max-len", max_len, "--alphabet", alphabet]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: more than {cli.MAX_GROUND_WORDS} {message}" in captured.err
+        assert f"error: more than {MAX_GROUND_WORDS} {message}" in captured.err
         assert "Traceback" not in captured.err
 
 
@@ -223,23 +224,31 @@ def test_oracle_rejects_negative_bound(tmp_path, capsys):
     assert "must not be negative" in captured.err
 
 
+def test_oracle_without_letters_exits_3(tmp_path, capsys):
+    eq = write(tmp_path, "comm.eq", "x y = y x\n")
+    assert main(["oracle", eq, "--max-len", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no letters given" in captured.err
+
+
 def test_oracle_caps_its_work(tmp_path, capsys, monkeypatch):
     # 255 ground words over AB up to length 7, so 255**3 (16.6 M) assignments
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("the oracle enumerated")
+    def no_assignment(*args, **kwargs):
+        raise AssertionError("the oracle tried an assignment")
 
-    monkeypatch.setattr(cli.oraclemod, "brute_solutions", no_enumeration)
+    monkeypatch.setattr(oracle, "satisfies", no_assignment)
     eq = write(tmp_path, "rev.eq", "x y z A = A z y x\n")
     assert main(["oracle", eq, "--max-len", "7", "--alphabet", "AB"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"more than {cli.MAX_GROUND_WORDS} assignments" in captured.err
+    assert f"more than {MAX_GROUND_WORDS} assignments" in captured.err
     # over one letter the words are few but long: refused before they are listed
     eq = write(tmp_path, "comm.eq", "x y = y x\n")
     assert main(["oracle", eq, "--max-len", "1000000000", "--alphabet", "A"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"more than {cli.MAX_GROUND_WORDS} letters" in captured.err
+    assert f"more than {MAX_GROUND_WORDS} letters" in captured.err
     assert "Traceback" not in captured.err
 
 

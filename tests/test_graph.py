@@ -50,8 +50,8 @@ def test_fig3b_structure():
     assert len(g.t_leaves()) == 1
     assert len(g.back_edges) == 2
     # the x -> A x branch folds to the root, y -> A y to the child
-    targets = {g.node(src).label: dst for src, dst in g.back_edges}
-    assert targets[g.node(0).label] == 0
+    targets = {g.nodes[src].label: dst for src, dst in g.back_edges}
+    assert targets[g.nodes[0].label] == 0
     assert to_dot(g) == FIG3B_DOT
 
 
@@ -67,9 +67,9 @@ def test_triptych_split_folds_the_loop():
     g = outcome.graph
     assert outcome.complete
     assert verdict(outcome) == UNSAT
-    root_label = serialize_system(list(g.node(0).label.equations))
+    root_label = serialize_system(list(g.nodes[0].label.equations))
     assert root_label == "y B z = z y\nx x A = A x x"
-    assert all(g.node(dst).id == 0 for _, dst in g.back_edges)
+    assert all(g.nodes[dst].id == 0 for _, dst in g.back_edges)
     assert len(g.back_edges) == 2
 
 
@@ -78,22 +78,14 @@ def test_triptych_count_is_immediate():
     assert outcome.complete
     assert verdict(outcome) == UNSAT
     assert len(outcome.graph.nodes) == 1
-    assert outcome.graph.node(0).kind == FLEAF
+    assert outcome.graph.nodes[0].kind == FLEAF
 
 
 def test_nodes_are_immutable():
-    node = build(parse_system("A x y = x y A"), Scheme.BASE).graph.node(0)
+    node = build(parse_system("A x y = x y A"), Scheme.BASE).graph.nodes[0]
     for name, value in (("kind", FLEAF), ("label", node.label), ("depth", 1)):
         with pytest.raises(AttributeError):
             setattr(node, name, value)
-
-
-def test_memo_fold_onto_dead_end_is_fleaf():
-    # under memo folding node 3 (B =) folds onto node 1, a dead end with the same label
-    g = build(parse_system("A B x = x A"), Scheme.BASE, fold="memo").graph
-    assert g.fold_target == {3: 1, 4: 0}
-    assert g.node(1).kind == g.node(3).kind == FLEAF
-    assert '  n3 [shape=diamond, label="F: B ="];' in to_dot(g).splitlines()
 
 
 def test_build_rejects_empty_system():
@@ -118,7 +110,7 @@ def test_back_edges_target_ancestors():
         g = outcome.graph
         parents = {child: parent for parent, _, child in g.tree_edges}
         for src, dst in g.back_edges:
-            assert g.node(src).label == g.node(dst).label
+            assert g.nodes[src].label == g.nodes[dst].label
             nid = src
             seen = []
             while nid in parents:
@@ -156,7 +148,7 @@ def _graph_programs(graph, depth):
     out = set()
 
     def go(nid, prefix):
-        node = graph.node(nid)
+        node = graph.nodes[nid]
         if node.kind == TLEAF:
             out.add(prefix)
             return
@@ -183,20 +175,10 @@ def _graph_programs(graph, depth):
 )
 def test_folding_preserves_accepted_programs(text, scheme, depths):
     system = parse_system(text)
-    for fold in ("ancestor", "memo"):
-        outcome = build(system, scheme, Budget(max_nodes=5000), fold=fold)
-        assert outcome.complete
-        for depth in depths:
-            programs = _graph_programs(outcome.graph, depth)
-            assert programs == _tree_programs(system, scheme, depth), fold
-
-
-def test_memo_mode_same_language():
-    system = parse_system("A x y = x y A")
-    ancestor = build(system, Scheme.BASE)
-    memo = build(system, Scheme.BASE, fold="memo")
-    assert verdict(ancestor) == verdict(memo) == SAT
-    assert _graph_programs(ancestor.graph, 8) == _graph_programs(memo.graph, 8)
+    outcome = build(system, scheme, Budget(max_nodes=5000))
+    assert outcome.complete
+    for depth in depths:
+        assert _graph_programs(outcome.graph, depth) == _tree_programs(system, scheme, depth)
 
 
 def test_unsat_verdict_is_sound():

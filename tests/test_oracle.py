@@ -2,6 +2,7 @@ import pytest
 
 from wordeq.core import Equation
 from wordeq.oracle import brute_solutions, satisfies
+from wordeq.parse import parse_system
 from wordeq.solutions import Solution
 from generators import classify, gen_instance
 
@@ -39,6 +40,9 @@ def test_brute_rejects_non_letter_alphabet():
 def test_brute_rejects_negative_bound():
     with pytest.raises(ValueError, match="must not be negative"):
         brute_solutions([E("xy", "yx")], "A", -1)
+    # 255 ground words over AB up to length 7, so 255**3 (16.6 M) assignments
+    with pytest.raises(ValueError, match="more than .* assignments"):
+        brute_solutions(parse_system("x y z A = A z y x"), "AB", 7)
 
 
 def test_brute_monotone_in_bound():

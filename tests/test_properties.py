@@ -158,12 +158,12 @@ SYSTEMS = st.lists(st.builds(E, SIDES, SIDES), min_size=1, max_size=2)
 
 
 @SETTINGS
-@given(SYSTEMS, st.sampled_from(list(Scheme)), st.sampled_from(["ancestor", "memo"]))
-def test_edges_follow_the_unfold_step(system, scheme, fold):
+@given(SYSTEMS, st.sampled_from(list(Scheme)))
+def test_edges_follow_the_unfold_step(system, scheme):
     # Nodes with equal labels share one expansion per build; every node's
     # edges must still be the ones its own label unfolds to.
     assume(scheme is not Scheme.BASE or len(system) == 1)
-    graph = build(system, scheme, Budget(max_nodes=300), fold=fold).graph
+    graph = build(system, scheme, Budget(max_nodes=300)).graph
     for parent, out in graph.children.items():
         label = graph.nodes[parent].label
         assert [n for n, _ in out] == list(compatible_narrowings(label))
@@ -176,15 +176,14 @@ def test_edges_follow_the_unfold_step(system, scheme, fold):
 @given(
     SYSTEMS,
     st.sampled_from(list(Scheme)),
-    st.sampled_from(["ancestor", "memo"]),
     st.sampled_from([20, 100, 400]),
     st.integers(0, 3),
     st.integers(0, 12),
     st.sampled_from(["A", "AB", "ABC", None]),
 )
-def test_enumerate_equals_reference(system, scheme, fold, max_nodes, max_len, max_path, alphabet):
+def test_enumerate_equals_reference(system, scheme, max_nodes, max_len, max_path, alphabet):
     assume(scheme is not Scheme.BASE or len(system) == 1)  # base takes one equation
-    graph = build(system, scheme, Budget(max_nodes=max_nodes), fold=fold).graph
+    graph = build(system, scheme, Budget(max_nodes=max_nodes)).graph
     got = enumerate_solutions(graph, max_len, max_path, alphabet)
     want = reference.enumerate_solutions(graph, max_len, max_path, alphabet)
     assert {(s.items, s.residual_free) for s in got} == {(s.items, s.residual_free) for s in want}

@@ -46,7 +46,7 @@ def _accepted_programs(graph, depth):
     out = []
 
     def go(nid, prefix):
-        node = graph.node(nid)
+        node = graph.nodes[nid]
         if node.kind == "tleaf":
             out.append(prefix)
             return

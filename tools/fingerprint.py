@@ -1,17 +1,16 @@
 """
 Corpus fingerprints: build every ``benchmarks/instances/*/*.eq`` system with
-its own scheme and node budget under both fold modes, and record what each
-build gave, so that a change meant to keep graphs as they are is checked by
-one command.
+its own scheme and node budget, and record what each build gave, so that a
+change meant to keep graphs as they are is checked by one command.
 
     python tools/fingerprint.py                  # rewrite tools/fingerprints.tsv
     python tools/fingerprint.py --check          # rebuild all, name every line that moved
     python tools/fingerprint.py --check FILE...  # only the instances of these .eq files
 
-A line per (instance, fold mode) holds the verdict, ``complete``, the stop
-reason, the node and back-edge counts, SHA-256 hashes (first 16 hex digits)
-of the sorted fold targets, of ``to_dot`` and of ``to_dot(prune=True)``, and
-the shortest witness program with its steps joined by ``; ``.  A change that
+A line per instance holds the verdict, ``complete``, the stop reason, the
+node and back-edge counts, SHA-256 hashes (first 16 hex digits) of the sorted
+fold targets, of ``to_dot`` and of ``to_dot(prune=True)``, and the shortest
+witness program with its steps joined by ``; ``.  A change that
 reshapes graphs on purpose regenerates the file; its diff names each build
 that moved.  Run from anywhere; the solver is imported from this checkout.
 """
@@ -29,12 +28,12 @@ INSTANCES = os.path.join(ROOT, "benchmarks", "instances")
 FINGERPRINTS = os.path.join(ROOT, "tools", "fingerprints.tsv")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from wordeq.graph import FOLD_ANCESTOR, FOLD_MEMO, Budget, build, to_dot, verdict  # noqa: E402
+from wordeq.graph import Budget, build, to_dot, verdict  # noqa: E402
 from wordeq.parse import parse_system, serialize_program  # noqa: E402
 from wordeq.rewrite import Scheme  # noqa: E402
 from wordeq.solutions import min_witness  # noqa: E402
 
-COLUMNS = ("instance", "fold", "verdict", "complete", "reason", "nodes", "back_edges",
+COLUMNS = ("instance", "verdict", "complete", "reason", "nodes", "back_edges",
            "fold_targets", "dot", "dot_pruned", "min_witness")
 
 
@@ -54,8 +53,8 @@ def instances(path: str) -> Iterator[Tuple[str, str, int, str]]:
             yield f"{name}:{header['id']}", header["scheme"], int(header["max_nodes"]), text
 
 
-def fingerprint(scheme: str, max_nodes: int, text: str, fold: str) -> List[str]:
-    outcome = build(parse_system(text), Scheme(scheme), Budget(max_nodes=max_nodes), fold=fold)
+def fingerprint(scheme: str, max_nodes: int, text: str) -> List[str]:
+    outcome = build(parse_system(text), Scheme(scheme), Budget(max_nodes=max_nodes))
     graph = outcome.graph
     witness = min_witness(graph)
     return [
@@ -71,19 +70,18 @@ def fingerprint(scheme: str, max_nodes: int, text: str, fold: str) -> List[str]:
     ]
 
 
-def lines(files: List[str]) -> Dict[Tuple[str, str], str]:
+def lines(files: List[str]) -> Dict[str, str]:
     out = {}
     for path in files:
         for key, scheme, max_nodes, text in instances(path):
-            for fold in (FOLD_ANCESTOR, FOLD_MEMO):
-                out[key, fold] = "\t".join([key, fold] + fingerprint(scheme, max_nodes, text, fold))
+            out[key] = "\t".join([key] + fingerprint(scheme, max_nodes, text))
     return out
 
 
-def read(path: str) -> Dict[Tuple[str, str], str]:
+def read(path: str) -> Dict[str, str]:
     with open(path, encoding="utf-8") as f:
         rows = [line.rstrip("\n") for line in f if not line.startswith("#")]
-    return {tuple(row.split("\t", 2)[:2]): row for row in rows if row}
+    return {row.split("\t", 1)[0]: row for row in rows if row}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
