@@ -16,11 +16,11 @@ from pathlib import Path
 from typing import List, NoReturn, Optional
 
 from . import oracle as oraclemod
-from .core import Equation
+from .core import Equation, check_alphabet
 from .graph import SAT, UNKNOWN, UNSAT, Budget, BuildOutcome, build, to_dot, verdict
 from .parse import ParseError, parse_program, parse_system, serialize_program
 from .rewrite import Scheme
-from .solutions import check_alphabet, enumerate_solutions, min_witness
+from .solutions import enumerate_solutions, min_witness
 from .witness import verify
 
 EXIT = {SAT: 0, UNSAT: 1, UNKNOWN: 2}

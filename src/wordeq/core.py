@@ -26,11 +26,6 @@ VARIABLES = frozenset("abcdefghijklmnopqrstuvwxyz")
 TERMS = LETTERS | VARIABLES
 
 
-def is_var(term: str) -> bool:
-    """True for variable terms (lowercase); assumes a valid term."""
-    return term.islower()
-
-
 def variables_of(w: Word) -> frozenset:
     return frozenset(c for c in w if c.islower())
 
@@ -78,7 +73,10 @@ class SystemState:
 
     @staticmethod
     def of(equations: Iterable[Equation]) -> "SystemState":
-        return SystemState(StateKind.EQS, tuple(equations))
+        state = object.__new__(SystemState)  # __init__ and its check cost a third of a step
+        object.__setattr__(state, "kind", StateKind.EQS)
+        object.__setattr__(state, "equations", tuple(equations))
+        return state
 
     @property
     def is_eqs(self) -> bool:
@@ -145,6 +143,15 @@ def prepend_var(x: str, y: str) -> Narrowing:
 
 
 Program = Tuple[Narrowing, ...]
+
+
+def check_alphabet(alphabet: Iterable[str]) -> List[str]:
+    """The alphabet sorted; ``ValueError`` unless each symbol is one letter A-Z."""
+    symbols = sorted(alphabet)
+    for a in symbols:
+        if a not in LETTERS:
+            raise ValueError(f"alphabet symbol {a!r} is not a letter A-Z")
+    return symbols
 
 
 def system_variables(system: Iterable[Equation]) -> List[str]:

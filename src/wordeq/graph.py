@@ -9,16 +9,20 @@ are deliberately not merged, so back edges always point to proper
 ancestors.  They do share one expansion per build: the narrowings
 and child labels of a label are computed the first time a node with that
 label is expanded, and every later node with an equal label gets its own
-new children from that table.
+new children from that table.  Each build keys its distinct labels by small
+ints and indexes its tables by key; narrowings are cached per first-term pair.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .core import Equation, Narrowing, SystemState
+from .core import ACCEPTED, Equation, Narrowing, StateKind, SystemState
 from .narrow import compatible_narrowings, step
 from .parse import serialize_equation
 from .rewrite import Scheme, simplify
@@ -131,30 +135,41 @@ def build(
     root_label = simplify(scheme, SystemState.of(system))
     nodes = [Node(0, root_label, 0)]
     graph = SolutionGraph(0, nodes, tuple(system), scheme)
+    if not root_label.is_eqs:  # accepted or contradictory: nothing to expand
+        return BuildOutcome(graph)
     reason: Optional[str] = None
     halted = False
 
-    ENTER, EXIT = 0, 1
-    stack: List[Tuple[int, object]] = [(ENTER, 0)]
-    # The labels of the expanded nodes on the current path: the ones a
-    # node may fold to.
-    fold_to: Dict[SystemState, int] = {}
-    # The narrowings and child labels of every label expanded so far; a
-    # node whose label is already here reuses them instead of unfolding.
-    expansions: Dict[SystemState, List[Tuple[Narrowing, SystemState]]] = {}
+    # A distinct equation list's key is its index in ``labels``; leaf states
+    # get -1.  By key: the node of the current path expanded with it (-1 for
+    # none), and once expanded, its narrowings, child labels and child keys.
+    keys: Dict[Tuple[Equation, ...], int] = {}
+    labels: List[SystemState] = []
+    fold_to: List[int] = []
+    expansions: List[Optional[Tuple[Tuple[Narrowing, ...], List[SystemState], List[int]]]] = []
 
+    def key_of(label: SystemState) -> int:
+        key = keys.setdefault(label.equations, len(labels)) if label.is_eqs else -1
+        if key == len(labels):
+            labels.append(label)
+            fold_to.append(-1)
+            expansions.append(None)
+        return key
+
+    new_node = partial(tuple.__new__, Node)  # a Node, without Node's Python-level __new__
+    node_keys = [key_of(root_label)]
+    stack = [0]  # node ids to enter, and ``~key`` to leave the node expanded with that key
     while stack:
-        op, arg = stack.pop()
-        if op == EXIT:
-            del fold_to[arg]
+        nid = stack.pop()
+        if nid < 0:
+            fold_to[~nid] = -1
             continue
-        node = nodes[arg]
-        label = node.label
-        if not label.is_eqs:
+        key = node_keys[nid]
+        if key < 0:
             continue
-        target = fold_to.get(label)
-        if target is not None:
-            graph.fold_target[node.id] = target
+        target = fold_to[key]
+        if target >= 0:
+            graph.fold_target[nid] = target
             continue
         if halted:
             reason = reason or "early_stop"
@@ -163,31 +178,35 @@ def build(
             halted = True
             reason = reason or "timeout"
             continue
-        if node.depth >= budget.max_depth:
+        depth = nodes[nid][2]
+        if depth >= budget.max_depth:
             reason = reason or "max_depth"
             continue
         # The budget is checked before anything is unfolded; a dead end adds
         # no nodes, so it never exceeds it.
-        expansion = expansions.get(label)
-        narrowings = compatible_narrowings(label) if expansion is None else expansion
-        if len(nodes) + len(narrowings) > budget.max_nodes:
+        expansion = expansions[key]
+        narrowings = compatible_narrowings(labels[key]) if expansion is None else expansion[0]
+        end = len(nodes) + len(narrowings)
+        if end > budget.max_nodes:
             halted = True
             reason = reason or "max_nodes"
             continue
         if expansion is None:
-            expansion = expansions[label] = [(n, step(label, n, scheme)) for n in narrowings]
-        if not expansion:
+            child_labels = [step(labels[key], n, scheme) for n in narrowings]
+            child_keys = [key_of(child) for child in child_labels]
+            # equal labels share one object, so a graph holds each label once
+            child_labels = [c if k < 0 else labels[k] for c, k in zip(child_labels, child_keys)]
+            expansion = expansions[key] = (narrowings, child_labels, child_keys)
+        if not narrowings:
             continue
-        children = graph.children[node.id] = []
-        for n, child_label in expansion:
-            children.append((n, len(nodes)))
-            nodes.append(Node(len(nodes), child_label, node.depth + 1))
-            if early_stop and child_label.is_accepted:
-                halted = True
-        fold_to[label] = node.id
-        stack.append((EXIT, label))
-        for _, child_id in reversed(children):
-            stack.append((ENTER, child_id))
+        ids = list(range(len(nodes), end))  # one int object per id, for the node and its edge
+        graph.children[nid] = list(zip(narrowings, ids))
+        nodes.extend(map(new_node, zip(ids, expansion[1], repeat(depth + 1))))
+        node_keys.extend(expansion[2])
+        halted = early_stop and ACCEPTED in expansion[1]
+        fold_to[key] = nid
+        stack.append(~key)
+        stack.extend(reversed(ids))
 
     return BuildOutcome(graph, reason)
 
@@ -195,7 +214,7 @@ def build(
 def verdict(outcome: BuildOutcome) -> str:
     """SAT as soon as an accepting leaf exists (valid even when the graph
     is partial); UNSAT only for complete graphs without one."""
-    if outcome.graph.t_leaves():
+    if StateKind.ACCEPTED in map(attrgetter("label.kind"), outcome.graph.nodes):
         return SAT
     return UNSAT if outcome.complete else UNKNOWN
 

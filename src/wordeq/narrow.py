@@ -11,9 +11,10 @@ of elementary steps reach every solution (the classic rules miss e.g.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
-from .core import Narrowing, SystemState, eps, is_var, prepend_letter, prepend_var
+from .core import TERMS, Narrowing, SystemState, eps, prepend_letter, prepend_var
 from .rewrite import Scheme, _unfold
 
 
@@ -30,20 +31,20 @@ def compatible_narrowings(s: SystemState) -> Tuple[Narrowing, ...]:
     lhs, rhs = s.equations[0]
     if not lhs and not rhs:
         raise ValueError("the first equation is trivial; the state should be simplified")
-    p = lhs[:1]
-    q = rhs[:1]
-    if p and q and is_var(p) and is_var(q):
+    return _narrowings(lhs[:1], rhs[:1])
+
+
+# A bounded table: one immutable tuple per pair of first terms (each may be empty).
+@lru_cache(maxsize=len(TERMS | {""}) ** 2)
+def _narrowings(p: str, q: str) -> Tuple[Narrowing, ...]:
+    if p.islower() and q.islower():  # two variables
         # Reduction guarantees the sides start with different terms.
-        assert p != q, f"unreduced first equation: {lhs} = {rhs}"
+        assert p != q, f"unreduced first equation: {p}... = {q}..."
         return (eps(p), eps(q), prepend_var(p, q), prepend_var(q, p))
-    if p and q and is_var(p):
-        return (eps(p), prepend_letter(p, q))
-    if p and q and is_var(q):
-        return (eps(q), prepend_letter(q, p))
-    if p and not q and is_var(p):
-        return (eps(p),)
-    if q and not p and is_var(q):
-        return (eps(q),)
+    if p.islower():
+        return (eps(p), prepend_letter(p, q)) if q else (eps(p),)
+    if q.islower():
+        return (eps(q), prepend_letter(q, p)) if p else (eps(q),)
     return ()
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, Optional, Sequence, Set
 
-from .core import MAX_GROUND_WORDS, Equation, Word, ground_words, system_letters, system_variables
-from .solutions import Solution, check_alphabet
+from .core import MAX_GROUND_WORDS, Equation, Word, check_alphabet, ground_words, system_letters, system_variables
+from .solutions import Solution
 
 
 def satisfies(system: Sequence[Equation], assignment: Dict[str, Word]) -> bool:

@@ -24,7 +24,6 @@ from .core import (
     Equation,
     Narrowing,
     SystemState,
-    apply_to_word,
     letter_count,
 )
 
@@ -217,6 +216,8 @@ def simplify_equation(scheme: Scheme, eq: Equation) -> Optional[List[Equation]]:
     reduced = reduce(eq)
     if reduced is None:
         return None
+    if scheme is Scheme.BASE:  # the reduced equation is the piece
+        return [reduced] if reduced != EMPTY_EQUATION else []
     pieces = _split_pieces(scheme, reduced)
     if pieces is None:
         return None
@@ -243,12 +244,13 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing]) -> SystemSta
     if scheme is Scheme.BASE and len(s.equations) != 1:
         raise ValueError("the base scheme handles exactly one equation")
     out: List[Equation] = []
+    var, replacement = (n.var, n.replacement) if n is not None else ("", "")
     for eq in s.equations:
         if n is not None:
-            if n.var not in eq.lhs and n.var not in eq.rhs:
+            if var not in eq.lhs and var not in eq.rhs:
                 out.append(eq)
                 continue
-            eq = Equation(apply_to_word(n, eq.lhs), apply_to_word(n, eq.rhs))
+            eq = Equation(eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement))
         pieces = simplify_equation(scheme, eq)
         if pieces is None:
             return CONTRADICTION

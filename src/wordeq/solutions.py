@@ -20,12 +20,12 @@ from math import prod
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import (
-    LETTERS,
     MAX_GROUND_WORDS,
     Narrowing,
     Program,
     Word,
     apply_to_word,
+    check_alphabet,
     compose_value,
     ground_words,
     letter_count,
@@ -92,15 +92,6 @@ def min_witness(graph: SolutionGraph) -> Optional[Program]:
         if narrowing is not None:
             steps.append(narrowing)
     return tuple(reversed(steps))
-
-
-def check_alphabet(alphabet: Iterable[str]) -> List[str]:
-    """The alphabet sorted; ``ValueError`` unless each symbol is one letter A-Z."""
-    symbols = sorted(alphabet)
-    for a in symbols:
-        if a not in LETTERS:
-            raise ValueError(f"alphabet symbol {a!r} is not a letter A-Z")
-    return symbols
 
 
 def enumerate_solutions(

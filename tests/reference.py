@@ -6,14 +6,18 @@ library computes them: occurrence counts, the count check and var-permutation
 by counting, the split loop by slicing and re-reducing the remainder after
 every split, and bounded enumeration by a walk over fully composed values
 whose leaves are instantiated with every ground word within the value bound.  The graph
-helpers at the end (expanded nodes, the program of a given walk) serve only
-the tests, so they live here rather than in the library.
+helpers (expanded nodes, the program of a given walk) serve only the tests,
+so they live here rather than in the library.  ``build`` and ``verdict`` at
+the end are the library's own from before a build keyed its labels by int:
+tables keyed by the label itself, ``(ENTER/EXIT, arg)`` stack entries, and
+a list of the T-leaves for the verdict.
 """
 
 from __future__ import annotations
 
+import time
 from collections import Counter
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from wordeq.core import (
     Equation,
@@ -24,8 +28,9 @@ from wordeq.core import (
     apply_to_word,
     ground_words,
 )
-from wordeq.graph import TLEAF, Node, SolutionGraph
-from wordeq.rewrite import Scheme, reduce
+from wordeq.graph import SAT, TLEAF, UNKNOWN, UNSAT, Budget, BuildOutcome, Node, SolutionGraph
+from wordeq.narrow import compatible_narrowings, step
+from wordeq.rewrite import Scheme, reduce, simplify
 from wordeq.solutions import Solution
 
 
@@ -39,6 +44,18 @@ def apply_to_state(n: Narrowing, s: SystemState) -> SystemState:
     return SystemState.of(
         Equation(apply_to_word(n, e.lhs), apply_to_word(n, e.rhs)) for e in s.equations
     )
+
+
+def compatible_narrowings(s: SystemState) -> Tuple[Narrowing, ...]:
+    """The narrowings the first terms of the first equation allow: erase the
+    leading variable of each side, left side first, then prepend to each
+    leading variable the other side's first term, when there is one."""
+    lhs, rhs = s.equations[0]
+    p, q = lhs[:1], rhs[:1]
+    out = [Narrowing(t, "") for t in (p, q) if t.islower()]
+    if p and q:
+        out += [Narrowing(x, y) for x, y in ((p, q), (q, p)) if x.islower()]
+    return tuple(out)
 
 
 def erase_letters(w: Word) -> Word:
@@ -243,3 +260,94 @@ def extract_program(graph: SolutionGraph, path: Sequence[int]) -> Program:
     if graph.nodes[path[-1]].kind != TLEAF:
         raise ValueError("walk does not end at an accepting leaf")
     return tuple(steps)
+
+
+def build(
+    system: List[Equation],
+    scheme: Scheme,
+    budget: Budget = Budget(),
+    *,
+    early_stop: bool = False,
+) -> BuildOutcome:
+    """Build the (partial) solution graph of an equation system.
+
+    The root is the simplified input; expansion is depth first, children
+    in narrowing order, so node numbering and the serialized graph are
+    deterministic.  Exceeding the budget, its timeout included, stops
+    expansion and is reported in the outcome, not raised.  With
+    ``early_stop`` the build halts at the first accepting leaf.
+    """
+    if not system:
+        raise ValueError("empty system")
+    deadline = None if budget.timeout_ms is None else time.monotonic() + budget.timeout_ms / 1000.0
+
+    root_label = simplify(scheme, SystemState.of(system))
+    nodes = [Node(0, root_label, 0)]
+    graph = SolutionGraph(0, nodes, tuple(system), scheme)
+    reason: Optional[str] = None
+    halted = False
+
+    ENTER, EXIT = 0, 1
+    stack: List[Tuple[int, object]] = [(ENTER, 0)]
+    # The labels of the expanded nodes on the current path: the ones a
+    # node may fold to.
+    fold_to: Dict[SystemState, int] = {}
+    # The narrowings and child labels of every label expanded so far; a
+    # node whose label is already here reuses them instead of unfolding.
+    expansions: Dict[SystemState, List[Tuple[Narrowing, SystemState]]] = {}
+
+    while stack:
+        op, arg = stack.pop()
+        if op == EXIT:
+            del fold_to[arg]
+            continue
+        node = nodes[arg]
+        label = node.label
+        if not label.is_eqs:
+            continue
+        target = fold_to.get(label)
+        if target is not None:
+            graph.fold_target[node.id] = target
+            continue
+        if halted:
+            reason = reason or "early_stop"
+            continue
+        if deadline is not None and time.monotonic() > deadline:
+            halted = True
+            reason = reason or "timeout"
+            continue
+        if node.depth >= budget.max_depth:
+            reason = reason or "max_depth"
+            continue
+        # The budget is checked before anything is unfolded; a dead end adds
+        # no nodes, so it never exceeds it.
+        expansion = expansions.get(label)
+        narrowings = compatible_narrowings(label) if expansion is None else expansion
+        if len(nodes) + len(narrowings) > budget.max_nodes:
+            halted = True
+            reason = reason or "max_nodes"
+            continue
+        if expansion is None:
+            expansion = expansions[label] = [(n, step(label, n, scheme)) for n in narrowings]
+        if not expansion:
+            continue
+        children = graph.children[node.id] = []
+        for n, child_label in expansion:
+            children.append((n, len(nodes)))
+            nodes.append(Node(len(nodes), child_label, node.depth + 1))
+            if early_stop and child_label.is_accepted:
+                halted = True
+        fold_to[label] = node.id
+        stack.append((EXIT, label))
+        for _, child_id in reversed(children):
+            stack.append((ENTER, child_id))
+
+    return BuildOutcome(graph, reason)
+
+
+def verdict(outcome: BuildOutcome) -> str:
+    """SAT as soon as an accepting leaf exists (valid even when the graph
+    is partial); UNSAT only for complete graphs without one."""
+    if outcome.graph.t_leaves():
+        return SAT
+    return UNSAT if outcome.complete else UNKNOWN

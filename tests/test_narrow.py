@@ -1,13 +1,16 @@
 import random
+from itertools import product
 
 import pytest
 
-from wordeq.core import ACCEPTED, Equation, SystemState, eps, prepend_letter, prepend_var
+import reference
+from wordeq.core import ACCEPTED, CONTRADICTION, Equation, SystemState, eps, prepend_letter, prepend_var
 from wordeq.graph import Budget, build
 from wordeq.narrow import compatible_narrowings, step
 from wordeq.oracle import brute_solutions, satisfies, system_variables
 from wordeq.rewrite import Scheme, reduce
 from wordeq.solutions import enumerate_solutions
+from wordeq.witness import verify
 from reference import apply_to_state, left_split, right_split
 
 E = Equation
@@ -44,6 +47,26 @@ def test_compatible_narrowings_errors():
         compatible_narrowings(SystemState.of([]))
     with pytest.raises(ValueError):
         compatible_narrowings(state(E("", "")))
+
+
+def test_narrowing_table_per_first_term_pair():
+    # The table is cached per pair of first terms: each pair gives the plain
+    # computation's tuple, and every state with that pair the same object.
+    for p, q in product(["", "A", "B", "x", "y"], repeat=2):
+        if p == q:  # a trivial or unreduced first equation: no simplify output
+            continue
+        got = compatible_narrowings(state(E(p, q)))
+        assert got == reference.compatible_narrowings(state(E(p, q))), (p, q)
+        longer = state(E(p and p + "xAy", q and q + "yBx"), E("xy", "yx"))
+        assert compatible_narrowings(longer) is got
+        assert compatible_narrowings(state(E(p, q))) is got
+    # the checks on the state itself still run on every call
+    for bad in (ACCEPTED, CONTRADICTION, SystemState.of([]), state(E("", "")), state(E("", ""), E("x", "A"))):
+        with pytest.raises(ValueError):
+            compatible_narrowings(bad)
+    # and the verifier still refuses a step the table does not hold
+    assert verify((eps("x"), eps("y")), [E("Axy", "xyA")], Scheme.COUNT)
+    assert not verify((prepend_var("x", "y"), eps("x"), eps("y")), [E("Axy", "xyA")], Scheme.COUNT)
 
 
 def test_narrowings_pairwise_distinct():

@@ -1,13 +1,14 @@
 """Property tests of the split loop, of the count check, of duplicate-free
-labels, of graph edges against the unfold step, of bounded enumeration, and
-of verdicts against witnesses and the oracle."""
+labels, of graph edges against the unfold step, of builds against the
+reference build, of bounded enumeration, and of verdicts against witnesses
+and the oracle."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
 from wordeq.core import Equation, SystemState, letter_count
-from wordeq.graph import SAT, UNSAT, Budget, build, verdict
+from wordeq.graph import SAT, UNSAT, Budget, Node, build, verdict
 from wordeq.narrow import compatible_narrowings, step
 from wordeq.oracle import brute_solutions, satisfies, system_variables
 from wordeq.rewrite import Scheme, _split_pieces, count_unsat, reduce, simplify, simplify_equation
@@ -170,6 +171,30 @@ def test_edges_follow_the_unfold_step(system, scheme):
         for n, child in out:
             assert graph.nodes[child].label == step(label, n, scheme)
             assert graph.nodes[child].depth == graph.nodes[parent].depth + 1
+
+
+@SETTINGS
+@given(
+    st.lists(st.builds(E, WORDS, WORDS), min_size=1, max_size=2),
+    st.sampled_from(list(Scheme)),
+    st.integers(1, 400),
+    st.integers(1, 30),
+    st.booleans(),
+)
+def test_build_equals_reference_build(system, scheme, max_nodes, max_depth, early_stop):
+    # The per-build label keys change how a build finds folds and reuses
+    # expansions, not what it builds: nodes, edges in insertion order, the
+    # stop reason and the verdict all equal the label-keyed loop's.
+    assume(scheme is not Scheme.BASE or len(system) == 1)
+    budget = Budget(max_nodes=max_nodes, max_depth=max_depth)
+    got = build(system, scheme, budget, early_stop=early_stop)
+    want = reference.build(system, scheme, budget, early_stop=early_stop)
+    assert all(type(node) is Node for node in got.graph.nodes)
+    assert [tuple(node) for node in got.graph.nodes] == [tuple(node) for node in want.graph.nodes]
+    assert list(got.graph.children.items()) == list(want.graph.children.items())
+    assert got.graph.back_edges == want.graph.back_edges
+    assert got.reason == want.reason
+    assert verdict(got) == reference.verdict(want)
 
 
 @SETTINGS
