@@ -4,6 +4,9 @@ states, and the elementary narrowing substitutions.
 
 A term is a single character: the letters ``A``-``Z`` are alphabet
 letters, ``a``-``z`` are variables, and a word is a plain string of terms.
+Outside input is checked against the sets ``LETTERS``, ``VARIABLES`` and
+``TERMS`` (``"é".islower()`` is true); on terms so checked, the code tells a
+variable by ``str.islower`` and a letter by ``str.isupper``.
 Keeping words as strings makes structural equality, occurrence counting
 and substitution cheap, and it guarantees that the serialized node labels
 used for folding are canonical by construction.
@@ -26,19 +29,9 @@ VARIABLES = frozenset("abcdefghijklmnopqrstuvwxyz")
 TERMS = LETTERS | VARIABLES
 
 
-def variables_of(w: Word) -> frozenset:
-    return frozenset(c for c in w if c.islower())
-
-
 class Equation(NamedTuple):
     lhs: Word
     rhs: Word
-
-    def variables(self) -> frozenset:
-        return variables_of(self.lhs) | variables_of(self.rhs)
-
-    def letters(self) -> frozenset:
-        return frozenset(c for c in self.lhs + self.rhs if c.isupper())
 
 
 EMPTY_EQUATION = Equation("", "")
@@ -64,12 +57,6 @@ class SystemState:
     def __post_init__(self) -> None:
         if self.kind is not StateKind.EQS and self.equations:
             raise ValueError(f"{self.kind.value} state carries no equations")
-
-    def __hash__(self) -> int:
-        # The equations alone: the generated hash would also hash ``kind``
-        # through the slow ``Enum.__hash__``.  Only states without equations
-        # collide, and the leaf states are never looked up.
-        return hash(self.equations)
 
     @staticmethod
     def of(equations: Iterable[Equation]) -> "SystemState":
@@ -156,12 +143,12 @@ def check_alphabet(alphabet: Iterable[str]) -> List[str]:
 
 def system_variables(system: Iterable[Equation]) -> List[str]:
     """The variables of a system, sorted."""
-    return sorted(set().union(*(e.variables() for e in system)))
+    return sorted({c for lhs, rhs in system for c in lhs + rhs if c.islower()})
 
 
 def system_letters(system: Iterable[Equation]) -> List[str]:
     """The letters of a system, sorted: the default alphabet of its solutions."""
-    return sorted(set().union(*(e.letters() for e in system)))
+    return sorted({c for lhs, rhs in system for c in lhs + rhs if c.isupper()})
 
 
 # The most ground words (and letters in them, assignments or instances) a

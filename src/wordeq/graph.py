@@ -27,10 +27,6 @@ from .narrow import compatible_narrowings, step
 from .parse import serialize_equation
 from .rewrite import Scheme, simplify
 
-INTERNAL = "internal"
-TLEAF = "tleaf"
-FLEAF = "fleaf"
-
 
 @dataclass(frozen=True)
 class Budget:
@@ -53,23 +49,12 @@ class Node(NamedTuple):
     label: SystemState
     depth: int
 
-    @property
-    def kind(self) -> str:
-        """TLEAF for an accepted label; FLEAF for a contradiction or a label
-        no narrowing is compatible with; INTERNAL otherwise."""
-        if self.label.is_accepted:
-            return TLEAF
-        if self.label.is_contradiction or not compatible_narrowings(self.label):
-            return FLEAF
-        return INTERNAL
-
 
 @dataclass
 class SolutionGraph:
     root: int
     nodes: List[Node]
     system: Tuple[Equation, ...]
-    scheme: Scheme
     children: Dict[int, List[Tuple[Narrowing, int]]] = field(default_factory=dict)
     fold_target: Dict[int, int] = field(default_factory=dict)
 
@@ -134,7 +119,7 @@ def build(
 
     root_label = simplify(scheme, SystemState.of(system))
     nodes = [Node(0, root_label, 0)]
-    graph = SolutionGraph(0, nodes, tuple(system), scheme)
+    graph = SolutionGraph(0, nodes, tuple(system))
     if not root_label.is_eqs:  # accepted or contradictory: nothing to expand
         return BuildOutcome(graph)
     reason: Optional[str] = None
@@ -225,7 +210,7 @@ def _node_dot(node: Node) -> str:
     if node.label.is_contradiction:
         return f'  n{node.id} [shape=diamond, label="F"];'
     text = "\\n".join(serialize_equation(e) for e in node.label.equations)
-    if node.kind == FLEAF:
+    if not compatible_narrowings(node.label):  # a dead end: an F-leaf too
         return f'  n{node.id} [shape=diamond, label="F: {text}"];'
     return f'  n{node.id} [shape=box, label="{text}"];'
 

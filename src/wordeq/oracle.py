@@ -26,14 +26,11 @@ def brute_solutions(
     system: Sequence[Equation],
     alphabet: Optional[Sequence[str]],
     max_value_len: int,
-    variables: Optional[Sequence[str]] = None,
 ) -> Set[Solution]:
     """All ground solutions with value lengths up to the bound.
 
-    ``alphabet`` ``None`` means the system's own letters.  ``variables`` may
-    widen the enumeration to a superset of the system's own variables (the
-    extras are unconstrained but still enumerated).  No letters, a symbol
-    other than a letter A-Z, a negative bound, and more than
+    ``alphabet`` ``None`` means the system's own letters.  No letters, a
+    symbol other than a letter A-Z, a negative bound, and more than
     ``MAX_GROUND_WORDS`` letters in the ground words or assignments to try
     raise ``ValueError``.
     """
@@ -43,7 +40,7 @@ def brute_solutions(
         alphabet = system_letters(system)
     if not alphabet:
         raise ValueError("no letters given: the alphabet is empty")
-    names = sorted(variables) if variables is not None else system_variables(system)
+    names = system_variables(system)
     words = ground_words(check_alphabet(alphabet), max_value_len)
     if len(words) ** len(names) > MAX_GROUND_WORDS:
         raise ValueError(f"more than {MAX_GROUND_WORDS} assignments to try; "

@@ -133,11 +133,10 @@ def _split_scan(l: str, r: str, start: int, n: int) -> Optional[int]:
 def _split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
     """Split repeatedly, reducing the remainder after each split.
 
-    ``BASE`` splits nothing, ``SPLIT`` makes left splits only, and
-    ``COUNT`` then makes right splits on what is left.  Returns the pieces
-    as ``[core] + suffixes + prefixes`` in discovery order, keeping the
-    first copy of each, or ``None`` when reducing some remainder hits a
-    contradiction.  ``e`` must be reduced.
+    ``SPLIT`` makes left splits only, and ``COUNT`` then makes right splits
+    on what is left.  Returns the pieces as ``[core] + suffixes + prefixes``
+    in discovery order, keeping the first copy of each, or ``None`` when
+    reducing some remainder hits a contradiction.  ``e`` must be reduced.
 
     Every split and every reduction removes as many terms from the front
     (or the back) of one side as of the other, so the remainder is
@@ -154,8 +153,6 @@ def _split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
     and reducing would split each off unchanged, and the dedup would drop
     it.
     """
-    if scheme is Scheme.BASE:
-        return [e]
     l, r = e
     nl, nr = len(l), len(r)
     m = min(nl, nr)

@@ -31,7 +31,6 @@ from .core import (
     letter_count,
     system_letters,
     system_variables,
-    variables_of,
 )
 from .graph import SolutionGraph
 
@@ -63,7 +62,7 @@ def path_solution(p: Program, variables: Iterable[str]) -> Solution:
     as residual-free, their partially composed value included.
     """
     assignment = {x: compose_value(p, x) for x in variables}
-    residual = [x for x, value in assignment.items() if variables_of(value)]
+    residual = [x for x, value in assignment.items() if any(c.islower() for c in value)]
     return Solution.of(assignment, residual)
 
 

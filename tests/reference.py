@@ -6,7 +6,8 @@ library computes them: occurrence counts, the count check and var-permutation
 by counting, the split loop by slicing and re-reducing the remainder after
 every split, and bounded enumeration by a walk over fully composed values
 whose leaves are instantiated with every ground word within the value bound.  The graph
-helpers (expanded nodes, the program of a given walk) serve only the tests,
+helpers (expanded nodes, the program of a given walk, the accepted programs of
+bounded walks) and the oracle over a wider variable set serve only the tests,
 so they live here rather than in the library.  ``build`` and ``verdict`` at
 the end are the library's own from before a build keyed its labels by int:
 tables keyed by the label itself, ``(ENTER/EXIT, arg)`` stack entries, and
@@ -28,8 +29,9 @@ from wordeq.core import (
     apply_to_word,
     ground_words,
 )
-from wordeq.graph import SAT, TLEAF, UNKNOWN, UNSAT, Budget, BuildOutcome, Node, SolutionGraph
+from wordeq.graph import SAT, UNKNOWN, UNSAT, Budget, BuildOutcome, Node, SolutionGraph
 from wordeq.narrow import compatible_narrowings, step
+from wordeq.oracle import brute_solutions
 from wordeq.rewrite import Scheme, reduce, simplify
 from wordeq.solutions import Solution
 
@@ -137,13 +139,14 @@ def right_split(e: Equation) -> Optional[Tuple[Equation, Equation]]:
 
 
 def split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
-    """The split loop of ``rewrite._split_pieces``, slicing and reducing the
-    remainder after every split: ``[core] + suffixes + prefixes``, or
-    ``None`` on contradiction.  ``e`` must be reduced."""
+    """The split loop of ``rewrite._split_pieces`` under ``SPLIT`` or
+    ``COUNT``, slicing and reducing the remainder after every split:
+    ``[core] + suffixes + prefixes``, or ``None`` on contradiction.  ``e``
+    must be reduced."""
     prefixes: List[Equation] = []
     suffixes: List[Equation] = []
     cur = e
-    while scheme is not Scheme.BASE:
+    while True:
         split = left_split(cur)
         if split is not None:
             prefix, remainder = split
@@ -175,9 +178,9 @@ def enumerate_solutions(
     """
     if max_value_len < 0 or max_path_len < 0:
         raise ValueError("enumeration bounds must not be negative")
-    variables = sorted(set().union(*(e.variables() for e in graph.system)) if graph.system else ())
+    variables = sorted({c for e in graph.system for c in e.lhs + e.rhs if c.islower()})
     if alphabet is None:
-        alphabet = sorted(set().union(*(e.letters() for e in graph.system)) if graph.system else ())
+        alphabet = sorted({c for e in graph.system for c in e.lhs + e.rhs if c.isupper()})
     alphabet = sorted(alphabet)
 
     solutions: Set[Solution] = set()
@@ -187,7 +190,7 @@ def enumerate_solutions(
     steps = 0
     while frontier:
         for nid, values in frontier:
-            if graph.nodes[nid].kind == TLEAF:
+            if graph.nodes[nid].label.is_accepted:
                 _instantiate(variables, values, alphabet, max_value_len, solutions)
         if steps == max_path_len:
             break
@@ -257,9 +260,36 @@ def extract_program(graph: SolutionGraph, path: Sequence[int]) -> Program:
                 break
         else:
             raise ValueError(f"no edge from node {src} to node {dst}")
-    if graph.nodes[path[-1]].kind != TLEAF:
+    if not graph.nodes[path[-1]].label.is_accepted:
         raise ValueError("walk does not end at an accepting leaf")
     return tuple(steps)
+
+
+def accepted_programs(graph: SolutionGraph, max_steps: int) -> List[Program]:
+    """The programs of the accepting walks of up to ``max_steps`` narrowings,
+    back edges unrolled, in depth-first order (children in edge order)."""
+    out: List[Program] = []
+
+    def go(nid: int, prefix: Program) -> None:
+        if graph.nodes[nid].label.is_accepted:
+            out.append(prefix)
+            return
+        for narrowing, child in graph.edges_from(nid):
+            if narrowing is None:
+                go(child, prefix)
+            elif len(prefix) < max_steps:
+                go(child, prefix + (narrowing,))
+
+    go(graph.root, ())
+    return out
+
+
+def brute_solutions_over(
+    system: Sequence[Equation], alphabet: Sequence[str], max_value_len: int, variables: Sequence[str]
+) -> Set[Solution]:
+    """``oracle.brute_solutions`` with the given variables enumerated too: one
+    equation ``v = v``, which every assignment satisfies, per variable."""
+    return brute_solutions(list(system) + [Equation(v, v) for v in variables], alphabet, max_value_len)
 
 
 def build(
@@ -283,7 +313,7 @@ def build(
 
     root_label = simplify(scheme, SystemState.of(system))
     nodes = [Node(0, root_label, 0)]
-    graph = SolutionGraph(0, nodes, tuple(system), scheme)
+    graph = SolutionGraph(0, nodes, tuple(system))
     reason: Optional[str] = None
     halted = False
 

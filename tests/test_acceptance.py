@@ -16,7 +16,7 @@ from wordeq.rewrite import Scheme
 from wordeq.solutions import enumerate_solutions, min_witness
 from wordeq.witness import verify
 from generators import gen_instance
-from reference import internal_nodes
+from reference import accepted_programs, internal_nodes
 
 E = Equation
 
@@ -235,23 +235,6 @@ def test_criterion_7_example_one_regression():
     assert ok, detail
 
 
-def _accepted_programs(graph, depth):
-    out = []
-
-    def go(nid, prefix):
-        if graph.nodes[nid].kind == "tleaf":
-            out.append(prefix)
-            return
-        for narrowing, child in graph.edges_from(nid):
-            if narrowing is None:
-                go(child, prefix)
-            elif len(prefix) < depth:
-                go(child, prefix + (narrowing,))
-
-    go(graph.root, ())
-    return out
-
-
 def _solves_by_substitution(program, system):
     assignment = {
         x: "".join(c for c in compose_value(program, x) if c.isupper())
@@ -282,7 +265,7 @@ def test_criterion_8_witness_round_trip():
 
     for system, scheme in cases:
         outcome = build(system, scheme, Budget(max_nodes=3000))
-        programs = _accepted_programs(outcome.graph, 6)
+        programs = accepted_programs(outcome.graph, 6)
         for program in programs:
             extracted += 1
             if not (

@@ -5,9 +5,7 @@ import pytest
 from wordeq import graph as graph_module
 from wordeq.core import Equation, SystemState
 from wordeq.graph import (
-    FLEAF,
     SAT,
-    TLEAF,
     UNKNOWN,
     UNSAT,
     Budget,
@@ -20,7 +18,7 @@ from wordeq.oracle import brute_solutions
 from wordeq.parse import parse_system, serialize_system
 from wordeq.rewrite import Scheme, simplify
 from wordeq.narrow import step
-from reference import internal_nodes
+from reference import accepted_programs, internal_nodes
 
 E = Equation
 
@@ -78,12 +76,12 @@ def test_triptych_count_is_immediate():
     assert outcome.complete
     assert verdict(outcome) == UNSAT
     assert len(outcome.graph.nodes) == 1
-    assert outcome.graph.nodes[0].kind == FLEAF
+    assert outcome.graph.nodes[0].label.is_contradiction
 
 
 def test_nodes_are_immutable():
     node = build(parse_system("A x y = x y A"), Scheme.BASE).graph.nodes[0]
-    for name, value in (("kind", FLEAF), ("label", node.label), ("depth", 1)):
+    for name, value in (("label", node.label), ("depth", 1)):
         with pytest.raises(AttributeError):
             setattr(node, name, value)
 
@@ -143,25 +141,6 @@ def _tree_programs(system, scheme, depth):
     return out
 
 
-def _graph_programs(graph, depth):
-    """Accepted programs of bounded walks, unrolling back edges."""
-    out = set()
-
-    def go(nid, prefix):
-        node = graph.nodes[nid]
-        if node.kind == TLEAF:
-            out.add(prefix)
-            return
-        for narrowing, child in graph.edges_from(nid):
-            if narrowing is None:
-                go(child, prefix)
-            elif len(prefix) < depth:
-                go(child, prefix + (narrowing,))
-
-    go(graph.root, ())
-    return out
-
-
 @pytest.mark.parametrize(
     "text,scheme,depths",
     [
@@ -178,7 +157,7 @@ def test_folding_preserves_accepted_programs(text, scheme, depths):
     outcome = build(system, scheme, Budget(max_nodes=5000))
     assert outcome.complete
     for depth in depths:
-        assert _graph_programs(outcome.graph, depth) == _tree_programs(system, scheme, depth)
+        assert set(accepted_programs(outcome.graph, depth)) == _tree_programs(system, scheme, depth)
 
 
 def test_unsat_verdict_is_sound():

@@ -11,7 +11,7 @@ from wordeq.oracle import brute_solutions, satisfies, system_variables
 from wordeq.rewrite import Scheme, reduce
 from wordeq.solutions import enumerate_solutions
 from wordeq.witness import verify
-from reference import apply_to_state, left_split, right_split
+from reference import apply_to_state, brute_solutions_over, left_split, right_split
 
 E = Equation
 
@@ -147,7 +147,7 @@ def test_step_soundness():
             if not child.is_eqs:
                 continue
             variables = system_variables([e])
-            for sol in brute_solutions(list(child.equations), "AB", 2, variables=variables):
+            for sol in brute_solutions_over(list(child.equations), "AB", 2, variables):
                 values = dict(sol.items)
                 extended = dict(values)
                 if not n.target:

@@ -5,6 +5,7 @@ from wordeq.oracle import brute_solutions, satisfies
 from wordeq.parse import parse_system
 from wordeq.solutions import Solution
 from generators import classify, gen_instance
+from reference import brute_solutions_over
 
 E = Equation
 
@@ -60,7 +61,7 @@ def test_satisfies():
 
 
 def test_brute_variables_superset():
-    found = brute_solutions([E("x", "A")], "A", 1, variables=["x", "y"])
+    found = brute_solutions_over([E("x", "A")], "A", 1, ["x", "y"])
     assert found == {
         Solution.of({"x": "A", "y": ""}),
         Solution.of({"x": "A", "y": "A"}),

@@ -87,7 +87,7 @@ def check_split_loop(e: Equation) -> None:
     e = reduce(e)
     if e is None:
         return
-    for scheme in Scheme:
+    for scheme in (Scheme.SPLIT, Scheme.COUNT):
         want = reference.split_pieces(scheme, e)
         if want is not None:
             want = list(dict.fromkeys(want))
@@ -121,10 +121,10 @@ def test_count_check_equals_reference(lhs, rhs):
 @given(st.builds(E, st.text("ABxyz", max_size=5), st.text("ABxyz", max_size=5)))
 def test_simplify_equation_keeps_solutions(e):
     variables = system_variables([e]) or ["x"]
-    want = brute_solutions([e], "AB", 2, variables=variables)
+    want = reference.brute_solutions_over([e], "AB", 2, variables)
     for scheme in Scheme:
         pieces = simplify_equation(scheme, e)
-        got = set() if pieces is None else brute_solutions(pieces, "AB", 2, variables=variables)
+        got = set() if pieces is None else reference.brute_solutions_over(pieces, "AB", 2, variables)
         assert got == want, (e, scheme, pieces)
 
 

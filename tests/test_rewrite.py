@@ -4,7 +4,7 @@ import pytest
 
 from wordeq import rewrite
 from wordeq.core import ACCEPTED, CONTRADICTION, Equation, SystemState
-from wordeq.oracle import brute_solutions, system_variables
+from wordeq.oracle import system_variables
 from wordeq.rewrite import (
     Scheme,
     count_unsat,
@@ -12,7 +12,7 @@ from wordeq.rewrite import (
     simplify,
     simplify_equation,
 )
-from reference import is_var_permutated, left_split, right_split
+from reference import brute_solutions_over, is_var_permutated, left_split, right_split
 
 E = Equation
 
@@ -79,13 +79,13 @@ def test_split_equivalence_against_oracle():
         variables = system_variables([e])
         if not variables:
             continue
-        want = brute_solutions([e], "AB", 2, variables=variables)
+        want = brute_solutions_over([e], "AB", 2, variables)
         for split in (left_split(e), right_split(e)):
             if split is None:
                 continue
             checked += 1
             system = [p for p in split if p != E("", "")]
-            assert brute_solutions(system, "AB", 2, variables=variables) == want
+            assert brute_solutions_over(system, "AB", 2, variables) == want
     assert checked > 20
 
 
@@ -134,7 +134,7 @@ def test_count_unsat_is_sound():
         e = random_equation(rng, max_side=5)
         if count_unsat(e):
             hits += 1
-            assert not brute_solutions([e], "AB", 4, variables=system_variables([e]) or ["x"])
+            assert not brute_solutions_over([e], "AB", 4, system_variables([e]) or ["x"])
     assert hits > 20
 
 
@@ -180,13 +180,13 @@ def test_simplify_preserves_solutions():
     for _ in range(250):
         e = random_equation(rng, max_side=4)
         variables = system_variables([e]) or ["x"]
-        want = brute_solutions([e], "AB", 3, variables=variables)
+        want = brute_solutions_over([e], "AB", 3, variables)
         for scheme in (Scheme.SPLIT, Scheme.COUNT):
             result = simplify(scheme, SystemState.of([e]))
             if result is ACCEPTED:
-                got = brute_solutions([], "AB", 3, variables=variables)
+                got = brute_solutions_over([], "AB", 3, variables)
             elif result is CONTRADICTION:
                 got = set()
             else:
-                got = brute_solutions(list(result.equations), "AB", 3, variables=variables)
+                got = brute_solutions_over(list(result.equations), "AB", 3, variables)
             assert got == want, (e, scheme)

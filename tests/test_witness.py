@@ -6,6 +6,7 @@ from wordeq.oracle import satisfies, system_variables
 from wordeq.parse import parse_system
 from wordeq.rewrite import Scheme
 from wordeq.witness import verify
+from reference import accepted_programs
 
 E = Equation
 
@@ -42,24 +43,6 @@ def _ground_check(program, system):
     return satisfies(system, assignment)
 
 
-def _accepted_programs(graph, depth):
-    out = []
-
-    def go(nid, prefix):
-        node = graph.nodes[nid]
-        if node.kind == "tleaf":
-            out.append(prefix)
-            return
-        for narrowing, child in graph.edges_from(nid):
-            if narrowing is None:
-                go(child, prefix)
-            elif len(prefix) < depth:
-                go(child, prefix + (narrowing,))
-
-    go(graph.root, ())
-    return out
-
-
 SYSTEMS = [
     ("A x y = x y A", Scheme.BASE),
     ("x y = y x", Scheme.BASE),
@@ -73,7 +56,7 @@ def test_graph_agreement():
     for text, scheme in SYSTEMS:
         system = parse_system(text)
         outcome = build(system, scheme, Budget(max_nodes=3000))
-        accepted = _accepted_programs(outcome.graph, 6)
+        accepted = accepted_programs(outcome.graph, 6)
         assert accepted
         for program in accepted:
             assert verify(program, system, scheme), (text, program)
