@@ -11,6 +11,8 @@ and child labels of a label are computed the first time a node with that
 label is expanded, and every later node with an equal label gets its own
 new children from that table.  Each build keys its distinct labels by small
 ints and indexes its tables by key; narrowings are cached per first-term pair.
+A graph is its nodes plus one edge map, node -> out-edges; a back edge is the
+single edge of a folded node, narrowing ``None``.  Tree and back edges view it.
 """
 
 from __future__ import annotations
@@ -52,29 +54,21 @@ class Node(NamedTuple):
 
 @dataclass
 class SolutionGraph:
-    root: int
     nodes: List[Node]
     system: Tuple[Equation, ...]
-    children: Dict[int, List[Tuple[Narrowing, int]]] = field(default_factory=dict)
-    fold_target: Dict[int, int] = field(default_factory=dict)
+    # node -> tree edges in narrowing order, or a fold's one back edge (None, target)
+    edges: Dict[int, List[Tuple[Optional[Narrowing], int]]] = field(default_factory=dict)
+    root = 0
 
     @property
     def tree_edges(self) -> List[Tuple[int, Narrowing, int]]:
         """(parent, narrowing, child) triples in expansion order."""
-        return [(parent, n, child) for parent, out in self.children.items() for n, child in out]
+        return [(src, n, dst) for src, out in self.edges.items() for n, dst in out if n is not None]
 
     @property
     def back_edges(self) -> List[Tuple[int, int]]:
         """(folded node, target) pairs in fold order."""
-        return list(self.fold_target.items())
-
-    def edges_from(self, node_id: int) -> List[Tuple[Optional[Narrowing], int]]:
-        """Outgoing walkable edges: tree edges (with narrowing), then the
-        back edge (without) if the node is folded."""
-        out: List[Tuple[Optional[Narrowing], int]] = list(self.children.get(node_id, ()))
-        if node_id in self.fold_target:
-            out.append((None, self.fold_target[node_id]))
-        return out
+        return [(src, dst) for src, out in self.edges.items() for n, dst in out if n is None]
 
     def t_leaves(self) -> List[Node]:
         return [n for n in self.nodes if n.label.is_accepted]
@@ -119,7 +113,7 @@ def build(
 
     root_label = simplify(scheme, SystemState.of(system))
     nodes = [Node(0, root_label, 0)]
-    graph = SolutionGraph(0, nodes, tuple(system))
+    graph = SolutionGraph(nodes, tuple(system))
     if not root_label.is_eqs:  # accepted or contradictory: nothing to expand
         return BuildOutcome(graph)
     reason: Optional[str] = None
@@ -154,7 +148,7 @@ def build(
             continue
         target = fold_to[key]
         if target >= 0:
-            graph.fold_target[nid] = target
+            graph.edges[nid] = [(None, target)]
             continue
         if halted:
             reason = reason or "early_stop"
@@ -185,7 +179,7 @@ def build(
         if not narrowings:
             continue
         ids = list(range(len(nodes), end))  # one int object per id, for the node and its edge
-        graph.children[nid] = list(zip(narrowings, ids))
+        graph.edges[nid] = list(zip(narrowings, ids))
         nodes.extend(map(new_node, zip(ids, expansion[1], repeat(depth + 1))))
         node_keys.extend(expansion[2])
         halted = early_stop and ACCEPTED in expansion[1]
@@ -226,10 +220,9 @@ def to_dot(graph: SolutionGraph, prune: bool = False) -> str:
     keep = set(range(len(graph.nodes)))
     if prune:
         reverse: Dict[int, List[int]] = {}
-        for parent, _, child in tree_edges:
-            reverse.setdefault(child, []).append(parent)
-        for src, dst in back_edges:
-            reverse.setdefault(dst, []).append(src)
+        for src, out in graph.edges.items():
+            for _, dst in out:
+                reverse.setdefault(dst, []).append(src)
         keep = {n.id for n in graph.t_leaves()}
         frontier = list(keep)
         while frontier:

@@ -77,7 +77,7 @@ def min_witness(graph: SolutionGraph) -> Optional[Program]:
         if graph.nodes[nid].label.is_accepted:
             goal = nid
             break
-        for narrowing, child in graph.edges_from(nid):
+        for narrowing, child in graph.edges.get(nid, ()):
             if child not in seen:
                 seen.add(child)
                 parent[child] = (nid, narrowing)
@@ -125,7 +125,7 @@ def enumerate_solutions(
             if graph.nodes[nid].label.is_accepted:
                 _instantiate(values, words, max_value_len, found)
             elif depth < max_path_len:
-                for narrowing, child in graph.edges_from(nid):
+                for narrowing, child in graph.edges.get(nid, ()):
                     if narrowing is None:
                         succ = (child, values, empty)
                     else:  # h = h' . n must keep every variable of ``empty`` empty

@@ -197,7 +197,7 @@ def enumerate_solutions(
         steps += 1
         next_frontier = []
         for nid, values in frontier:
-            for narrowing, child in graph.edges_from(nid):
+            for narrowing, child in graph.edges.get(nid, ()):
                 if narrowing is None:
                     succ = (child, values)
                 else:
@@ -239,7 +239,7 @@ def _instantiate(
 
 def internal_nodes(graph: SolutionGraph) -> List[Node]:
     """Expanded internal nodes, i.e. those with outgoing tree edges."""
-    return [n for n in graph.nodes if graph.children.get(n.id)]
+    return [n for n in graph.nodes if any(e is not None for e, _ in graph.edges.get(n.id, ()))]
 
 
 def extract_program(graph: SolutionGraph, path: Sequence[int]) -> Program:
@@ -253,7 +253,7 @@ def extract_program(graph: SolutionGraph, path: Sequence[int]) -> Program:
         raise ValueError("walk must start at the root")
     steps: List[Narrowing] = []
     for src, dst in zip(path, path[1:]):
-        for narrowing, child in graph.edges_from(src):
+        for narrowing, child in graph.edges.get(src, ()):
             if child == dst:
                 if narrowing is not None:
                     steps.append(narrowing)
@@ -274,7 +274,7 @@ def accepted_programs(graph: SolutionGraph, max_steps: int) -> List[Program]:
         if graph.nodes[nid].label.is_accepted:
             out.append(prefix)
             return
-        for narrowing, child in graph.edges_from(nid):
+        for narrowing, child in graph.edges.get(nid, ()):
             if narrowing is None:
                 go(child, prefix)
             elif len(prefix) < max_steps:
@@ -313,7 +313,7 @@ def build(
 
     root_label = simplify(scheme, SystemState.of(system))
     nodes = [Node(0, root_label, 0)]
-    graph = SolutionGraph(0, nodes, tuple(system))
+    graph = SolutionGraph(nodes, tuple(system))
     reason: Optional[str] = None
     halted = False
 
@@ -337,7 +337,7 @@ def build(
             continue
         target = fold_to.get(label)
         if target is not None:
-            graph.fold_target[node.id] = target
+            graph.edges[node.id] = [(None, target)]
             continue
         if halted:
             reason = reason or "early_stop"
@@ -361,7 +361,7 @@ def build(
             expansion = expansions[label] = [(n, step(label, n, scheme)) for n in narrowings]
         if not expansion:
             continue
-        children = graph.children[node.id] = []
+        children = graph.edges[node.id] = []
         for n, child_label in expansion:
             children.append((n, len(nodes)))
             nodes.append(Node(len(nodes), child_label, node.depth + 1))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from wordeq import graph as graph_module
-from wordeq.core import Equation, SystemState
+from wordeq.core import Equation, Narrowing, SystemState
 from wordeq.graph import (
     SAT,
     UNKNOWN,
@@ -115,6 +115,13 @@ def test_back_edges_target_ancestors():
                 nid = parents[nid]
                 seen.append(nid)
             assert dst in seen, "fold target must be a proper ancestor"
+        folds = dict(g.back_edges)
+        for src, out in g.edges.items():
+            if src in folds:
+                assert out == [(None, folds[src])]
+            else:
+                assert out and all(isinstance(n, Narrowing) for n, _ in out)
+        assert len(g.tree_edges) + len(g.back_edges) == sum(map(len, g.edges.values()))
 
 
 def test_determinism():

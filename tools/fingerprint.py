@@ -62,8 +62,8 @@ def fingerprint(scheme: str, max_nodes: int, text: str) -> List[str]:
         str(int(outcome.complete)),
         outcome.reason or "-",
         str(len(graph.nodes)),
-        str(len(graph.fold_target)),
-        _sha(repr(sorted(graph.fold_target.items()))),
+        str(len(graph.back_edges)),
+        _sha(repr(sorted(graph.back_edges))),
         _sha(to_dot(graph)),
         _sha(to_dot(graph, prune=True)),
         "-" if witness is None else serialize_program(witness).replace("\n", "; "),
