@@ -9,8 +9,9 @@ are deliberately not merged, so back edges always point to proper
 ancestors.  They do share one expansion per build: the narrowings
 and child labels of a label are computed the first time a node with that
 label is expanded, and every later node with an equal label gets its own
-new children from that table.  Each build keys its distinct labels by small
-ints and indexes its tables by key; narrowings are cached per first-term pair.
+new children from that table.  A build keys that table and the fold lookup on
+a label's equation tuple, and equal labels share one object; narrowings are
+cached per first-term pair.
 A graph is its nodes plus one edge map, node -> out-edges; a back edge is the
 single edge of a folded node, narrowing ``None``.  Tree and back edges view it.
 """
@@ -40,7 +41,7 @@ class Budget:
     timeout_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 1 or self.max_depth < 1:
+        if not (self.max_nodes >= 1 and self.max_depth >= 1):  # NaN too
             raise ValueError("budget limits must be positive")
         if self.timeout_ms is not None and not self.timeout_ms >= 0:  # NaN too
             raise ValueError("timeout must not be negative or NaN")
@@ -119,35 +120,26 @@ def build(
     reason: Optional[str] = None
     halted = False
 
-    # A distinct equation list's key is its index in ``labels``; leaf states
-    # get -1.  By key: the node of the current path expanded with it (-1 for
-    # none), and once expanded, its narrowings, child labels and child keys.
-    keys: Dict[Tuple[Equation, ...], int] = {}
-    labels: List[SystemState] = []
-    fold_to: List[int] = []
-    expansions: List[Optional[Tuple[Tuple[Narrowing, ...], List[SystemState], List[int]]]] = []
-
-    def key_of(label: SystemState) -> int:
-        key = keys.setdefault(label.equations, len(labels)) if label.is_eqs else -1
-        if key == len(labels):
-            labels.append(label)
-            fold_to.append(-1)
-            expansions.append(None)
-        return key
+    # By equation list: its first label (equal labels share that object, so a
+    # graph holds each label once), the node of the current path expanded with
+    # it, and once expanded, its narrowings and child labels.
+    labels: Dict[Tuple[Equation, ...], SystemState] = {root_label.equations: root_label}
+    fold_to: Dict[Tuple[Equation, ...], int] = {}
+    expansions: Dict[Tuple[Equation, ...], Tuple[Tuple[Narrowing, ...], List[SystemState]]] = {}
 
     new_node = partial(tuple.__new__, Node)  # a Node, without Node's Python-level __new__
-    node_keys = [key_of(root_label)]
-    stack = [0]  # node ids to enter, and ``~key`` to leave the node expanded with that key
+    stack = [0]  # node ids to enter, and ``~nid`` to leave node ``nid``
     while stack:
         nid = stack.pop()
         if nid < 0:
-            fold_to[~nid] = -1
+            del fold_to[nodes[~nid][1].equations]
             continue
-        key = node_keys[nid]
-        if key < 0:
+        _, label, depth = nodes[nid]
+        eqs = label.equations
+        if not eqs:  # a leaf: leaf states hold no equations (__post_init__); _unfold accepts []
             continue
-        target = fold_to[key]
-        if target >= 0:
+        target = fold_to.get(eqs)
+        if target is not None:
             graph.edges[nid] = [(None, target)]
             continue
         if halted:
@@ -157,34 +149,30 @@ def build(
             halted = True
             reason = reason or "timeout"
             continue
-        depth = nodes[nid][2]
         if depth >= budget.max_depth:
             reason = reason or "max_depth"
             continue
         # The budget is checked before anything is unfolded; a dead end adds
         # no nodes, so it never exceeds it.
-        expansion = expansions[key]
-        narrowings = compatible_narrowings(labels[key]) if expansion is None else expansion[0]
+        expansion = expansions.get(eqs)
+        narrowings = compatible_narrowings(label) if expansion is None else expansion[0]
         end = len(nodes) + len(narrowings)
         if end > budget.max_nodes:
             halted = True
             reason = reason or "max_nodes"
             continue
         if expansion is None:
-            child_labels = [step(labels[key], n, scheme) for n in narrowings]
-            child_keys = [key_of(child) for child in child_labels]
-            # equal labels share one object, so a graph holds each label once
-            child_labels = [c if k < 0 else labels[k] for c, k in zip(child_labels, child_keys)]
-            expansion = expansions[key] = (narrowings, child_labels, child_keys)
+            children = [step(label, n, scheme) for n in narrowings]
+            children = [labels.setdefault(c.equations, c) if c.equations else c for c in children]
+            expansion = expansions[eqs] = (narrowings, children)
         if not narrowings:
             continue
         ids = list(range(len(nodes), end))  # one int object per id, for the node and its edge
         graph.edges[nid] = list(zip(narrowings, ids))
         nodes.extend(map(new_node, zip(ids, expansion[1], repeat(depth + 1))))
-        node_keys.extend(expansion[2])
         halted = early_stop and ACCEPTED in expansion[1]
-        fold_to[key] = nid
-        stack.append(~key)
+        fold_to[eqs] = nid
+        stack.append(~nid)
         stack.extend(reversed(ids))
 
     return BuildOutcome(graph, reason)

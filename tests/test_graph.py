@@ -225,6 +225,10 @@ def test_budget_validation():
         Budget(timeout_ms=-1)
     with pytest.raises(ValueError):
         Budget(timeout_ms=float("nan"))
+    with pytest.raises(ValueError):
+        Budget(max_nodes=float("nan"))
+    with pytest.raises(ValueError):
+        Budget(max_depth=float("nan"))
 
 
 @pytest.fixture
@@ -272,6 +276,8 @@ def test_labels_hold_each_equation_once():
     outcome = build(parse_system("y y x A z B = x z B z x"), Scheme.COUNT, Budget(max_nodes=3000))
     g = outcome.graph
     assert all(len(set(n.label.equations)) == len(n.label.equations) for n in g.nodes)
+    eqs_labels = [n.label for n in g.nodes if n.label.is_eqs]  # equal labels share one object
+    assert len({id(label) for label in eqs_labels}) == len({label.equations for label in eqs_labels}) == 1288
     assert len(g.nodes) == 3000
     assert len(g.back_edges) == 0
     assert outcome.reason == "max_nodes"

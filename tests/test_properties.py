@@ -184,14 +184,16 @@ def test_edges_follow_the_unfold_step(system, scheme):
     st.booleans(),
 )
 def test_build_equals_reference_build(system, scheme, max_nodes, max_depth, early_stop):
-    # The per-build label keys change how a build finds folds and reuses
-    # expansions, not what it builds: nodes, edges in insertion order, the
-    # stop reason and the verdict all equal the label-keyed loop's.
+    # Keying folds and expansions on equation tuples changes how a build finds
+    # folds and reuses expansions, not what it builds: nodes, edges in insertion
+    # order, the stop reason and the verdict all equal the label-keyed loop's.
     assume(scheme is not Scheme.BASE or len(system) == 1)
     budget = Budget(max_nodes=max_nodes, max_depth=max_depth)
     got = build(system, scheme, budget, early_stop=early_stop)
     want = reference.build(system, scheme, budget, early_stop=early_stop)
     assert all(type(node) is Node for node in got.graph.nodes)
+    eqs_labels = [node.label for node in got.graph.nodes if node.label.is_eqs]  # equal labels share one object
+    assert len({id(label) for label in eqs_labels}) == len({label.equations for label in eqs_labels})
     assert [tuple(node) for node in got.graph.nodes] == [tuple(node) for node in want.graph.nodes]
     assert list(got.graph.edges.items()) == list(want.graph.edges.items())
     assert got.graph.back_edges == want.graph.back_edges
