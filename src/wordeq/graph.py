@@ -9,11 +9,12 @@ are deliberately not merged, so back edges always point to proper
 ancestors.  They do share one expansion per build: the narrowings
 and child labels of a label are computed the first time a node with that
 label is expanded, and every later node with an equal label gets its own
-new children from that table.  A build keys that table and the fold lookup on
-a label's equation tuple, and equal labels share one object; narrowings are
-cached per first-term pair.
-A graph is its nodes plus one edge map, node -> out-edges; a back edge is the
-single edge of a folded node, narrowing ``None``.  Tree and back edges view it.
+new children from that table.  One table keyed by a label's equation tuple
+holds, per label, the node of the current path expanded with it, the one
+object equal labels share, and that expansion; narrowings are cached per
+first-term pair.  A graph is its nodes and two int maps: ``children`` (an
+expanded node's first child; its children are consecutive ids in narrowing
+order) and ``folds`` (a folded node's target), read by ``out_edges``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import count, repeat
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -57,19 +58,29 @@ class Node(NamedTuple):
 class SolutionGraph:
     nodes: List[Node]
     system: Tuple[Equation, ...]
-    # node -> tree edges in narrowing order, or a fold's one back edge (None, target)
-    edges: Dict[int, List[Tuple[Optional[Narrowing], int]]] = field(default_factory=dict)
+    children: Dict[int, int] = field(default_factory=dict)  # expanded node -> first child
+    folds: Dict[int, int] = field(default_factory=dict)  # folded node -> target
     root = 0
+
+    def out_edges(self, nid: int) -> List[Tuple[Optional[Narrowing], int]]:
+        """A node's tree edges ``(narrowing, child)`` in narrowing order, or a
+        folded node's one back edge ``(None, target)``; none for other nodes."""
+        if nid in self.folds:
+            return [(None, self.folds[nid])]
+        first = self.children.get(nid)
+        if first is None:
+            return []
+        return list(zip(compatible_narrowings(self.nodes[nid].label), count(first)))
 
     @property
     def tree_edges(self) -> List[Tuple[int, Narrowing, int]]:
         """(parent, narrowing, child) triples in expansion order."""
-        return [(src, n, dst) for src, out in self.edges.items() for n, dst in out if n is not None]
+        return [(src, n, dst) for src in self.children for n, dst in self.out_edges(src)]
 
     @property
     def back_edges(self) -> List[Tuple[int, int]]:
         """(folded node, target) pairs in fold order."""
-        return [(src, dst) for src, out in self.edges.items() for n, dst in out if n is None]
+        return list(self.folds.items())
 
     def t_leaves(self) -> List[Node]:
         return [n for n in self.nodes if n.label.is_accepted]
@@ -120,27 +131,27 @@ def build(
     reason: Optional[str] = None
     halted = False
 
-    # By equation list: its first label (equal labels share that object, so a
-    # graph holds each label once), the node of the current path expanded with
-    # it, and once expanded, its narrowings and child labels.
-    labels: Dict[Tuple[Equation, ...], SystemState] = {root_label.equations: root_label}
-    fold_to: Dict[Tuple[Equation, ...], int] = {}
-    expansions: Dict[Tuple[Equation, ...], Tuple[Tuple[Narrowing, ...], List[SystemState]]] = {}
+    # By equation list: [the node of the current path expanded with it or -1,
+    # its first label (equal labels share that object, so a graph holds each
+    # label once), its narrowings and its child labels (None until expanded)].
+    table: Dict[Tuple[Equation, ...], list] = {root_label.equations: [-1, root_label, None, None]}
+    path: List[list] = []  # the entries of the expanded nodes on the current path
+    children, folds = graph.children, graph.folds
 
     new_node = partial(tuple.__new__, Node)  # a Node, without Node's Python-level __new__
-    stack = [0]  # node ids to enter, and ``~nid`` to leave node ``nid``
+    stack = [0]  # node ids to enter, and -1 to leave the last node of the path
     while stack:
         nid = stack.pop()
         if nid < 0:
-            del fold_to[nodes[~nid][1].equations]
+            path.pop()[0] = -1
             continue
         _, label, depth = nodes[nid]
         eqs = label.equations
         if not eqs:  # a leaf: leaf states hold no equations (__post_init__); _unfold accepts []
             continue
-        target = fold_to.get(eqs)
-        if target is not None:
-            graph.edges[nid] = [(None, target)]
+        entry = table[eqs]
+        if entry[0] >= 0:
+            folds[nid] = entry[0]
             continue
         if halted:
             reason = reason or "early_stop"
@@ -154,26 +165,28 @@ def build(
             continue
         # The budget is checked before anything is unfolded; a dead end adds
         # no nodes, so it never exceeds it.
-        expansion = expansions.get(eqs)
-        narrowings = compatible_narrowings(label) if expansion is None else expansion[0]
-        end = len(nodes) + len(narrowings)
+        narrowings = entry[2]
+        if narrowings is None:
+            narrowings = entry[2] = compatible_narrowings(label)
+        first = len(nodes)
+        end = first + len(narrowings)
         if end > budget.max_nodes:
             halted = True
             reason = reason or "max_nodes"
             continue
-        if expansion is None:
-            children = [step(label, n, scheme) for n in narrowings]
-            children = [labels.setdefault(c.equations, c) if c.equations else c for c in children]
-            expansion = expansions[eqs] = (narrowings, children)
         if not narrowings:
             continue
-        ids = list(range(len(nodes), end))  # one int object per id, for the node and its edge
-        graph.edges[nid] = list(zip(narrowings, ids))
-        nodes.extend(map(new_node, zip(ids, expansion[1], repeat(depth + 1))))
-        halted = early_stop and ACCEPTED in expansion[1]
-        fold_to[eqs] = nid
-        stack.append(~nid)
-        stack.extend(reversed(ids))
+        if entry[3] is None:
+            labels = [step(label, n, scheme) for n in narrowings]
+            entry[3] = [table.setdefault(c.equations, [-1, c, None, None])[1] if c.equations else c for c in labels]
+        child_labels = entry[3]
+        children[nid] = first
+        nodes.extend(map(new_node, zip(range(first, end), child_labels, repeat(depth + 1))))
+        halted = early_stop and ACCEPTED in child_labels
+        entry[0] = nid
+        path.append(entry)
+        stack.append(-1)
+        stack.extend(range(end - 1, first - 1, -1))
 
     return BuildOutcome(graph, reason)
 
@@ -208,8 +221,8 @@ def to_dot(graph: SolutionGraph, prune: bool = False) -> str:
     keep = set(range(len(graph.nodes)))
     if prune:
         reverse: Dict[int, List[int]] = {}
-        for src, out in graph.edges.items():
-            for _, dst in out:
+        for src in range(len(graph.nodes)):
+            for _, dst in graph.out_edges(src):
                 reverse.setdefault(dst, []).append(src)
         keep = {n.id for n in graph.t_leaves()}
         frontier = list(keep)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import partial
 from typing import List, Optional, Tuple
 
 from .core import (
@@ -23,6 +24,7 @@ from .core import (
     LETTERS,
     Equation,
     Narrowing,
+    StateKind,
     SystemState,
     letter_count,
 )
@@ -32,6 +34,7 @@ _LETTER = re.compile("[A-Z]")
 # Positions the split scan reads one by one before it looks for a stretch of
 # variables to skip; looking after every position slows the short scans.
 _SCAN_WINDOW = 16
+_equation = partial(tuple.__new__, Equation)  # an Equation, without its Python-level __new__
 
 
 class Scheme(Enum):
@@ -71,7 +74,7 @@ def reduce(e: Equation) -> Optional[Equation]:
     if offsets is None:
         return None
     a, b = offsets
-    return Equation(l[a : len(l) - b], r[a : len(r) - b])
+    return _equation((l[a : len(l) - b], r[a : len(r) - b]))
 
 
 def _split_scan(l: str, r: str, start: int, n: int) -> Optional[int]:
@@ -236,7 +239,7 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing]) -> SystemSta
     discards the whole list and yields the contradiction state; an empty
     final list is accepted.
     """
-    if not s.is_eqs:
+    if s.kind is not StateKind.EQS:
         raise ValueError(f"cannot simplify a {s.kind.value} state")
     if scheme is Scheme.BASE and len(s.equations) != 1:
         raise ValueError("the base scheme handles exactly one equation")
@@ -247,7 +250,7 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing]) -> SystemSta
             if var not in eq.lhs and var not in eq.rhs:
                 out.append(eq)
                 continue
-            eq = Equation(eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement))
+            eq = _equation((eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement)))
         pieces = simplify_equation(scheme, eq)
         if pieces is None:
             return CONTRADICTION

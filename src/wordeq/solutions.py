@@ -12,17 +12,18 @@ remaining variables solves the system.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import product
+from itertools import compress, count, product, repeat
 from math import prod
+from operator import attrgetter, is_
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     MAX_GROUND_WORDS,
     Narrowing,
     Program,
+    StateKind,
     Word,
     apply_to_word,
     check_alphabet,
@@ -33,6 +34,7 @@ from .core import (
     system_variables,
 )
 from .graph import SolutionGraph
+from .narrow import compatible_narrowings
 
 
 @dataclass(frozen=True)
@@ -67,30 +69,31 @@ def path_solution(p: Program, variables: Iterable[str]) -> Solution:
 
 
 def min_witness(graph: SolutionGraph) -> Optional[Program]:
-    """Program of a shortest (in edges) accepting walk, if any."""
-    parent: Dict[int, Tuple[int, Optional[Narrowing]]] = {}
-    seen = {graph.root}
-    queue = deque([graph.root])
-    goal: Optional[int] = None
-    while queue:
-        nid = queue.popleft()
-        if graph.nodes[nid].label.is_accepted:
-            goal = nid
-            break
-        for narrowing, child in graph.edges.get(nid, ()):
-            if child not in seen:
-                seen.add(child)
-                parent[child] = (nid, narrowing)
-                queue.append(child)
+    """Program of a shortest (in edges) accepting walk, if any.
+
+    Back edges only reach ancestors, so a breadth-first walk reaches every
+    node first along its tree path, at its depth, and meets the nodes of one
+    depth in id order: the walk it finds is the tree path to the T-leaf of
+    least ``(depth, id)``.  A node's children are consecutive ids, and the
+    subtrees of its expanded children follow in the same order, so the path
+    steps to the goal when it is a child, else to the last expanded child
+    whose first child is at or before the goal.
+    """
+    nodes, children = graph.nodes, graph.children
+    t_leaves = compress(count(), map(is_, map(attrgetter("label.kind"), nodes), repeat(StateKind.ACCEPTED)))
+    goal = min(t_leaves, key=lambda nid: nodes[nid].depth, default=None)
     if goal is None:
         return None
     steps: List[Narrowing] = []
-    nid = goal
-    while nid != graph.root:
-        nid, narrowing = parent[nid]
-        if narrowing is not None:
-            steps.append(narrowing)
-    return tuple(reversed(steps))
+    nid = graph.root
+    while nid != goal:
+        narrowings = compatible_narrowings(nodes[nid].label)
+        first = children[nid]
+        nid = min(goal, first + len(narrowings) - 1)
+        while nid != goal and children.get(nid, goal + 1) > goal:  # goal is not in its subtree
+            nid -= 1
+        steps.append(narrowings[nid - first])
+    return tuple(steps)
 
 
 def enumerate_solutions(
@@ -115,6 +118,7 @@ def enumerate_solutions(
     if alphabet is None:
         alphabet = system_letters(graph.system)
     words = cache(partial(ground_words, check_alphabet(alphabet)))
+    out_edges = cache(graph.out_edges)
     found: Set[Tuple[Word, ...]] = set()
     frontier = [_normal(graph.root, tuple(variables), frozenset(), max_value_len)]
     seen = set(frontier)
@@ -125,7 +129,7 @@ def enumerate_solutions(
             if graph.nodes[nid].label.is_accepted:
                 _instantiate(values, words, max_value_len, found)
             elif depth < max_path_len:
-                for narrowing, child in graph.edges.get(nid, ()):
+                for narrowing, child in out_edges(nid):
                     if narrowing is None:
                         succ = (child, values, empty)
                     else:  # h = h' . n must keep every variable of ``empty`` empty

@@ -5,10 +5,11 @@ They are written the plain way the paper states them, not the fast way the
 library computes them: occurrence counts, the count check and var-permutation
 by counting, the split loop by slicing and re-reducing the remainder after
 every split, and bounded enumeration by a walk over fully composed values
-whose leaves are instantiated with every ground word within the value bound.  The graph
-helpers (expanded nodes, the program of a given walk, the accepted programs of
-bounded walks) and the oracle over a wider variable set serve only the tests,
-so they live here rather than in the library.  ``build`` and ``verdict`` at
+whose leaves are instantiated with every ground word within the value bound.
+The graph helpers (expanded nodes, the program of a given walk, the accepted
+programs of bounded walks, the shortest accepting walk by breadth-first
+search) and the oracle over a wider variable set serve only the tests, so
+they live here rather than in the library.  ``build`` and ``verdict`` at
 the end are the library's own from before a build keyed its labels by int:
 tables keyed by the label itself, ``(ENTER/EXIT, arg)`` stack entries, and
 a list of the T-leaves for the verdict.
@@ -17,7 +18,7 @@ a list of the T-leaves for the verdict.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from wordeq.core import (
@@ -197,7 +198,7 @@ def enumerate_solutions(
         steps += 1
         next_frontier = []
         for nid, values in frontier:
-            for narrowing, child in graph.edges.get(nid, ()):
+            for narrowing, child in graph.out_edges(nid):
                 if narrowing is None:
                     succ = (child, values)
                 else:
@@ -239,7 +240,7 @@ def _instantiate(
 
 def internal_nodes(graph: SolutionGraph) -> List[Node]:
     """Expanded internal nodes, i.e. those with outgoing tree edges."""
-    return [n for n in graph.nodes if any(e is not None for e, _ in graph.edges.get(n.id, ()))]
+    return [n for n in graph.nodes if any(e is not None for e, _ in graph.out_edges(n.id))]
 
 
 def extract_program(graph: SolutionGraph, path: Sequence[int]) -> Program:
@@ -253,7 +254,7 @@ def extract_program(graph: SolutionGraph, path: Sequence[int]) -> Program:
         raise ValueError("walk must start at the root")
     steps: List[Narrowing] = []
     for src, dst in zip(path, path[1:]):
-        for narrowing, child in graph.edges.get(src, ()):
+        for narrowing, child in graph.out_edges(src):
             if child == dst:
                 if narrowing is not None:
                     steps.append(narrowing)
@@ -274,7 +275,7 @@ def accepted_programs(graph: SolutionGraph, max_steps: int) -> List[Program]:
         if graph.nodes[nid].label.is_accepted:
             out.append(prefix)
             return
-        for narrowing, child in graph.edges.get(nid, ()):
+        for narrowing, child in graph.out_edges(nid):
             if narrowing is None:
                 go(child, prefix)
             elif len(prefix) < max_steps:
@@ -282,6 +283,35 @@ def accepted_programs(graph: SolutionGraph, max_steps: int) -> List[Program]:
 
     go(graph.root, ())
     return out
+
+
+def min_witness(graph: SolutionGraph) -> Optional[Program]:
+    """Program of a shortest (in edges) accepting walk, if any: the library's
+    breadth-first walk over every edge, from before it read the walk off
+    the tree."""
+    parent: Dict[int, Tuple[int, Optional[Narrowing]]] = {}
+    seen = {graph.root}
+    queue = deque([graph.root])
+    goal: Optional[int] = None
+    while queue:
+        nid = queue.popleft()
+        if graph.nodes[nid].label.is_accepted:
+            goal = nid
+            break
+        for narrowing, child in graph.out_edges(nid):
+            if child not in seen:
+                seen.add(child)
+                parent[child] = (nid, narrowing)
+                queue.append(child)
+    if goal is None:
+        return None
+    steps: List[Narrowing] = []
+    nid = goal
+    while nid != graph.root:
+        nid, narrowing = parent[nid]
+        if narrowing is not None:
+            steps.append(narrowing)
+    return tuple(reversed(steps))
 
 
 def brute_solutions_over(
@@ -337,7 +367,7 @@ def build(
             continue
         target = fold_to.get(label)
         if target is not None:
-            graph.edges[node.id] = [(None, target)]
+            graph.folds[node.id] = target
             continue
         if halted:
             reason = reason or "early_stop"
@@ -361,15 +391,14 @@ def build(
             expansion = expansions[label] = [(n, step(label, n, scheme)) for n in narrowings]
         if not expansion:
             continue
-        children = graph.edges[node.id] = []
+        graph.children[node.id] = first = len(nodes)
         for n, child_label in expansion:
-            children.append((n, len(nodes)))
             nodes.append(Node(len(nodes), child_label, node.depth + 1))
             if early_stop and child_label.is_accepted:
                 halted = True
         fold_to[label] = node.id
         stack.append((EXIT, label))
-        for _, child_id in reversed(children):
+        for child_id in reversed(range(first, len(nodes))):
             stack.append((ENTER, child_id))
 
     return BuildOutcome(graph, reason)

@@ -116,12 +116,17 @@ def test_back_edges_target_ancestors():
                 seen.append(nid)
             assert dst in seen, "fold target must be a proper ancestor"
         folds = dict(g.back_edges)
-        for src, out in g.edges.items():
+        assert folds == g.folds and not folds.keys() & g.children.keys()
+        for src in range(len(g.nodes)):
+            out = g.out_edges(src)
             if src in folds:
                 assert out == [(None, folds[src])]
-            else:
+            elif src in g.children:  # consecutive children from the first one
                 assert out and all(isinstance(n, Narrowing) for n, _ in out)
-        assert len(g.tree_edges) + len(g.back_edges) == sum(map(len, g.edges.values()))
+                assert [dst for _, dst in out] == list(range(g.children[src], g.children[src] + len(out)))
+            else:
+                assert out == []
+        assert len(g.tree_edges) + len(g.back_edges) == sum(len(g.out_edges(n.id)) for n in g.nodes)
 
 
 def test_determinism():

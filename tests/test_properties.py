@@ -1,9 +1,9 @@
 """Property tests of the split loop, of the count check, of duplicate-free
 labels, of graph edges against the unfold step, of builds against the
-reference build, of bounded enumeration, and of verdicts against witnesses
-and the oracle."""
+reference build, of witnesses against a breadth-first walk, of bounded
+enumeration, and of verdicts against witnesses and the oracle."""
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -165,11 +165,10 @@ def test_edges_follow_the_unfold_step(system, scheme):
     # edges must still be the ones its own label unfolds to.
     assume(scheme is not Scheme.BASE or len(system) == 1)
     graph = build(system, scheme, Budget(max_nodes=300)).graph
-    for parent, out in graph.edges.items():
-        if out[0][0] is None:  # a fold
-            continue
+    for parent in graph.children:
+        out = graph.out_edges(parent)
         label = graph.nodes[parent].label
-        assert [n for n, _ in out] == list(compatible_narrowings(label))
+        assert [n for n, _ in out] == list(reference.compatible_narrowings(label))
         for n, child in out:
             assert graph.nodes[child].label == step(label, n, scheme)
             assert graph.nodes[child].depth == graph.nodes[parent].depth + 1
@@ -195,10 +194,22 @@ def test_build_equals_reference_build(system, scheme, max_nodes, max_depth, earl
     eqs_labels = [node.label for node in got.graph.nodes if node.label.is_eqs]  # equal labels share one object
     assert len({id(label) for label in eqs_labels}) == len({label.equations for label in eqs_labels})
     assert [tuple(node) for node in got.graph.nodes] == [tuple(node) for node in want.graph.nodes]
-    assert list(got.graph.edges.items()) == list(want.graph.edges.items())
+    assert got.graph.tree_edges == want.graph.tree_edges
     assert got.graph.back_edges == want.graph.back_edges
+    assert list(got.graph.children.items()) == list(want.graph.children.items())
     assert got.reason == want.reason
     assert verdict(got) == reference.verdict(want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)  # ~0.4 % of draws: first T-leaf not shallowest
+@given(SYSTEMS, st.sampled_from(list(Scheme)), st.integers(1, 400), st.integers(1, 30), st.booleans())
+@example([E("xyA", "zxzBBA")], Scheme.COUNT, 400, 30, False)  # its first T-leaf is not the shallowest
+def test_min_witness_equals_breadth_first_walk(system, scheme, max_nodes, max_depth, early_stop):
+    # The witness read off the tree, to the T-leaf of least (depth, id), is
+    # the program of the walk a breadth-first search over every edge finds.
+    assume(scheme is not Scheme.BASE or len(system) == 1)
+    graph = build(system, scheme, Budget(max_nodes=max_nodes, max_depth=max_depth), early_stop=early_stop).graph
+    assert min_witness(graph) == reference.min_witness(graph)
 
 
 @SETTINGS
