@@ -22,8 +22,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count, repeat
-from operator import attrgetter
+from itertools import compress, count, repeat
+from operator import attrgetter, is_
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import ACCEPTED, Equation, Narrowing, StateKind, SystemState
@@ -83,7 +83,7 @@ class SolutionGraph:
         return list(self.folds.items())
 
     def t_leaves(self) -> List[Node]:
-        return [n for n in self.nodes if n.label.is_accepted]
+        return list(compress(self.nodes, map(is_, map(attrgetter("label.kind"), self.nodes), repeat(StateKind.ACCEPTED))))
 
     def max_depth(self) -> int:
         return max(n.depth for n in self.nodes)

@@ -12,18 +12,18 @@ remaining variables solves the system.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import compress, count, product, repeat
+from itertools import product
 from math import prod
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     MAX_GROUND_WORDS,
     Narrowing,
     Program,
-    StateKind,
     Word,
     apply_to_word,
     check_alphabet,
@@ -74,26 +74,22 @@ def min_witness(graph: SolutionGraph) -> Optional[Program]:
     Back edges only reach ancestors, so a breadth-first walk reaches every
     node first along its tree path, at its depth, and meets the nodes of one
     depth in id order: the walk it finds is the tree path to the T-leaf of
-    least ``(depth, id)``.  A node's children are consecutive ids, and the
-    subtrees of its expanded children follow in the same order, so the path
-    steps to the goal when it is a child, else to the last expanded child
-    whose first child is at or before the goal.
+    least ``(depth, id)``.  That path is read upward by first-child order:
+    the children of each expanded node are consecutive ids, and first
+    children grow in the order nodes were expanded, so a node's parent is
+    the expanded node with the last first child at or before it.
     """
-    nodes, children = graph.nodes, graph.children
-    t_leaves = compress(count(), map(is_, map(attrgetter("label.kind"), nodes), repeat(StateKind.ACCEPTED)))
-    goal = min(t_leaves, key=lambda nid: nodes[nid].depth, default=None)
+    goal = min(graph.t_leaves(), key=attrgetter("depth"), default=None)
     if goal is None:
         return None
+    parents, firsts = list(graph.children), list(graph.children.values())
     steps: List[Narrowing] = []
-    nid = graph.root
-    while nid != goal:
-        narrowings = compatible_narrowings(nodes[nid].label)
-        first = children[nid]
-        nid = min(goal, first + len(narrowings) - 1)
-        while nid != goal and children.get(nid, goal + 1) > goal:  # goal is not in its subtree
-            nid -= 1
-        steps.append(narrowings[nid - first])
-    return tuple(steps)
+    nid = goal.id
+    while nid != graph.root:
+        i = bisect_right(firsts, nid) - 1
+        steps.append(compatible_narrowings(graph.nodes[parents[i]].label)[nid - firsts[i]])
+        nid = parents[i]
+    return tuple(reversed(steps))
 
 
 def enumerate_solutions(
@@ -108,9 +104,11 @@ def enumerate_solutions(
     (node, values, empty), visited breadth first.  ``empty`` holds the
     variables the value bound forces empty, erased from the values: a value
     with ``n`` letters and ``k > max_value_len - n`` occurrences of ``x`` is
-    at least ``n + k |x|`` long.  Repeated states (the first visit had as much
-    path budget left) and values with too many letters are pruned.  Negative
-    bounds and non-letter alphabet symbols raise ``ValueError``.
+    at least ``n + k |x|`` long.  Letters enter a value only by ``x -> A x``,
+    which then fits the room left, so no value exceeds ``max_value_len``
+    letters.  Repeated states (the first visit had as much path budget left)
+    are pruned.  Negative bounds and non-letter alphabet symbols raise
+    ``ValueError``.
     """
     if max_value_len < 0 or max_path_len < 0:
         raise ValueError("enumeration bounds must not be negative")
@@ -140,8 +138,6 @@ def enumerate_solutions(
                             forced = empty | {target} if target else empty - {x}
                         new_values = tuple(apply_to_word(narrowing, v) for v in values)
                         succ = _normal(child, new_values, forced, max_value_len)
-                        if succ is None:
-                            continue
                     if succ not in seen:
                         seen.add(succ)
                         next_frontier.append(succ)
@@ -151,12 +147,11 @@ def enumerate_solutions(
 
 def _normal(nid: int, values: Tuple[Word, ...], empty: FrozenSet[str], max_value_len: int):
     """The walk state with every forced variable added to ``empty`` and all of
-    ``empty`` erased from the values; ``None`` if a value has too many letters."""
+    ``empty`` erased from the values: a variable left in a value ``v`` occurs
+    at most ``max_value_len - letters(v)`` times, so ``x -> A x`` fits."""
     for v in values:
-        spare = max_value_len - letter_count(v)
-        if spare < 0:
-            return None
         if len(v) > max_value_len:  # else it has no more variables than room
+            spare = max_value_len - letter_count(v)
             empty = empty.union(x for x in set(v) if x.islower() and v.count(x) > spare)
     if empty:
         table = dict.fromkeys(map(ord, empty))

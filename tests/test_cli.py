@@ -292,6 +292,16 @@ def test_bench_bad_build_flag_exits_3(tmp_path, capsys):
         assert message in captured.err
 
 
+def test_bench_without_eq_files_exits_3(tmp_path, capsys):
+    d = tmp_path / "suite"
+    d.mkdir()
+    (d / "notes.txt").write_text(FIG3B)
+    assert main(["bench", str(d)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no .eq files in {d}\n"
+
+
 def _family_pattern_shuffled(rng):
     base = gen_instance("sro_rep", rng.randrange(10**6), n_vars=3, length=10)[0]
     variables = [c for c in base.rhs if c.islower()]

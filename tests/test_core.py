@@ -138,8 +138,9 @@ def test_ground_words():
 
 
 def test_narrowing_construction():
-    with pytest.raises(ValueError):
-        prepend_var("x", "x")
+    for var, target in (("x", "x"), ("x", "A")):
+        with pytest.raises(ValueError):
+            prepend_var(var, target)
     with pytest.raises(ValueError):
         Narrowing("X", "")
     with pytest.raises(ValueError):

@@ -3,10 +3,13 @@ labels, of graph edges against the unfold step, of builds against the
 reference build, of witnesses against a breadth-first walk, of bounded
 enumeration, and of verdicts against witnesses and the oracle."""
 
+from unittest.mock import patch
+
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from wordeq import solutions
 from wordeq.core import Equation, SystemState, letter_count
 from wordeq.graph import SAT, UNSAT, Budget, Node, build, verdict
 from wordeq.narrow import compatible_narrowings, step
@@ -224,7 +227,15 @@ def test_min_witness_equals_breadth_first_walk(system, scheme, max_nodes, max_de
 def test_enumerate_equals_reference(system, scheme, max_nodes, max_len, max_path, alphabet):
     assume(scheme is not Scheme.BASE or len(system) == 1)  # base takes one equation
     graph = build(system, scheme, Budget(max_nodes=max_nodes)).graph
-    got = enumerate_solutions(graph, max_len, max_path, alphabet)
+    unpatched = solutions._normal
+
+    def normal(*args):  # no walk state holds a value over the letter bound
+        state = unpatched(*args)
+        assert all(letter_count(v) <= max_len for v in state[1])
+        return state
+
+    with patch.object(solutions, "_normal", normal):
+        got = enumerate_solutions(graph, max_len, max_path, alphabet)
     want = reference.enumerate_solutions(graph, max_len, max_path, alphabet)
     assert {(s.items, s.residual_free) for s in got} == {(s.items, s.residual_free) for s in want}
 
