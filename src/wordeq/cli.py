@@ -72,8 +72,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     found = enumerate_solutions(outcome.graph, args.max_len, args.max_path, alphabet)
     for solution in sorted(found, key=lambda s: s.items):
         print(solution)
-    result = verdict(outcome)
-    return 0 if found or result == SAT else EXIT[result]
+    return EXIT[verdict(outcome)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -12,9 +12,11 @@ label is expanded, and every later node with an equal label gets its own
 new children from that table.  One table keyed by a label's equation tuple
 holds, per label, the node of the current path expanded with it, the one
 object equal labels share, and that expansion; narrowings are cached per
-first-term pair.  A graph is its nodes and two int maps: ``children`` (an
+first-term pair.  A graph is its nodes, two int maps, ``children`` (an
 expanded node's first child; its children are consecutive ids in narrowing
-order) and ``folds`` (a folded node's target), read by ``out_edges``.
+order) and ``folds`` (a folded node's target), read by ``out_edges``, and
+``witness``: the program of the tree path to the T-leaf of least
+``(depth, id)``, recorded by the build when it makes that leaf.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, count, repeat
-from operator import attrgetter, is_
+from itertools import count, repeat
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .core import ACCEPTED, Equation, Narrowing, StateKind, SystemState
+from .core import ACCEPTED, Equation, Narrowing, Program, SystemState
 from .narrow import compatible_narrowings, step
 from .parse import serialize_equation
 from .rewrite import Scheme, simplify
@@ -60,6 +61,7 @@ class SolutionGraph:
     system: Tuple[Equation, ...]
     children: Dict[int, int] = field(default_factory=dict)  # expanded node -> first child
     folds: Dict[int, int] = field(default_factory=dict)  # folded node -> target
+    witness: Optional[Program] = None  # the tree path to the least (depth, id) T-leaf
     root = 0
 
     def out_edges(self, nid: int) -> List[Tuple[Optional[Narrowing], int]]:
@@ -83,7 +85,7 @@ class SolutionGraph:
         return list(self.folds.items())
 
     def t_leaves(self) -> List[Node]:
-        return list(compress(self.nodes, map(is_, map(attrgetter("label.kind"), self.nodes), repeat(StateKind.ACCEPTED))))
+        return [node for node in self.nodes if node.label.is_accepted]
 
     def max_depth(self) -> int:
         return max(n.depth for n in self.nodes)
@@ -125,7 +127,7 @@ def build(
 
     root_label = simplify(scheme, SystemState.of(system))
     nodes = [Node(0, root_label, 0)]
-    graph = SolutionGraph(nodes, tuple(system))
+    graph = SolutionGraph(nodes, tuple(system), witness=() if root_label is ACCEPTED else None)
     if not root_label.is_eqs:  # accepted or contradictory: nothing to expand
         return BuildOutcome(graph)
     reason: Optional[str] = None
@@ -133,9 +135,11 @@ def build(
 
     # By equation list: [the node of the current path expanded with it or -1,
     # its first label (equal labels share that object, so a graph holds each
-    # label once), its narrowings and its child labels (None until expanded)].
-    table: Dict[Tuple[Equation, ...], list] = {root_label.equations: [-1, root_label, None, None]}
+    # label once), its narrowings, its child labels (None until expanded) and
+    # the offset of its first accepting child (-1 for none)].
+    table: Dict[Tuple[Equation, ...], list] = {root_label.equations: [-1, root_label, None, None, -1]}
     path: List[list] = []  # the entries of the expanded nodes on the current path
+    best = budget.max_depth  # the depth of the expansion that made the witness's T-leaf, if any
     children, folds = graph.children, graph.folds
 
     new_node = partial(tuple.__new__, Node)  # a Node, without Node's Python-level __new__
@@ -178,13 +182,17 @@ def build(
             continue
         if entry[3] is None:
             labels = [step(label, n, scheme) for n in narrowings]
-            entry[3] = [table.setdefault(c.equations, [-1, c, None, None])[1] if c.equations else c for c in labels]
-        child_labels = entry[3]
+            entry[3] = [table.setdefault(c.equations, [-1, c, None, None, -1])[1] if c.equations else c for c in labels]
+            entry[4] = next((i for i, c in enumerate(labels) if c is ACCEPTED), -1)
         children[nid] = first
-        nodes.extend(map(new_node, zip(range(first, end), child_labels, repeat(depth + 1))))
-        halted = early_stop and ACCEPTED in child_labels
+        nodes.extend(map(new_node, zip(range(first, end), entry[3], repeat(depth + 1))))
         entry[0] = nid
         path.append(entry)
+        if entry[4] >= 0 and depth < best:
+            # T-leaves are made in id order: the first at a depth has its least id.
+            best, halted = depth, early_stop
+            steps = [parent[2][child[0] - children[parent[0]]] for parent, child in zip(path, path[1:])]
+            graph.witness = (*steps, narrowings[entry[4]])
         stack.append(-1)
         stack.extend(range(end - 1, first - 1, -1))
 
@@ -192,9 +200,10 @@ def build(
 
 
 def verdict(outcome: BuildOutcome) -> str:
-    """SAT as soon as an accepting leaf exists (valid even when the graph
-    is partial); UNSAT only for complete graphs without one."""
-    if StateKind.ACCEPTED in map(attrgetter("label.kind"), outcome.graph.nodes):
+    """SAT as soon as an accepting leaf exists, that is, the build recorded a
+    witness (valid even when the graph is partial); UNSAT only for complete
+    graphs without one."""
+    if outcome.graph.witness is not None:
         return SAT
     return UNSAT if outcome.complete else UNKNOWN
 

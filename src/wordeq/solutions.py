@@ -12,17 +12,14 @@ remaining variables solves the system.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
 from math import prod
-from operator import attrgetter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from .core import (
     MAX_GROUND_WORDS,
-    Narrowing,
     Program,
     Word,
     apply_to_word,
@@ -34,7 +31,6 @@ from .core import (
     system_variables,
 )
 from .graph import SolutionGraph
-from .narrow import compatible_narrowings
 
 
 @dataclass(frozen=True)
@@ -69,27 +65,16 @@ def path_solution(p: Program, variables: Iterable[str]) -> Solution:
 
 
 def min_witness(graph: SolutionGraph) -> Optional[Program]:
-    """Program of a shortest (in edges) accepting walk, if any.
+    """Program of a shortest (in edges) accepting walk, if any: the one
+    ``build`` recorded.
 
     Back edges only reach ancestors, so a breadth-first walk reaches every
     node first along its tree path, at its depth, and meets the nodes of one
     depth in id order: the walk it finds is the tree path to the T-leaf of
-    least ``(depth, id)``.  That path is read upward by first-child order:
-    the children of each expanded node are consecutive ids, and first
-    children grow in the order nodes were expanded, so a node's parent is
-    the expanded node with the last first child at or before it.
+    least ``(depth, id)``.  ``build`` makes T-leaves in id order and records
+    the path to the first one at a depth below every earlier one's.
     """
-    goal = min(graph.t_leaves(), key=attrgetter("depth"), default=None)
-    if goal is None:
-        return None
-    parents, firsts = list(graph.children), list(graph.children.values())
-    steps: List[Narrowing] = []
-    nid = goal.id
-    while nid != graph.root:
-        i = bisect_right(firsts, nid) - 1
-        steps.append(compatible_narrowings(graph.nodes[parents[i]].label)[nid - firsts[i]])
-        nid = parents[i]
-    return tuple(reversed(steps))
+    return graph.witness
 
 
 def enumerate_solutions(

@@ -12,7 +12,7 @@ search) and the oracle over a wider variable set serve only the tests, so
 they live here rather than in the library.  ``build`` and ``verdict`` at
 the end are the library's own from before a build keyed its labels by int:
 tables keyed by the label itself, ``(ENTER/EXIT, arg)`` stack entries, and
-a list of the T-leaves for the verdict.
+a scan of every label for the verdict.
 """
 
 from __future__ import annotations
@@ -407,6 +407,6 @@ def build(
 def verdict(outcome: BuildOutcome) -> str:
     """SAT as soon as an accepting leaf exists (valid even when the graph
     is partial); UNSAT only for complete graphs without one."""
-    if outcome.graph.t_leaves():
+    if any(n.label.is_accepted for n in outcome.graph.nodes):
         return SAT
     return UNSAT if outcome.complete else UNKNOWN

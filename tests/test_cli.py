@@ -150,6 +150,29 @@ def test_enumerate_unsat(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_enumerate_exit_code_is_the_verdict(tmp_path, capsys):
+    # no walk of 0 edges reaches Fig. 3b's T-leaf, yet the graph holds one: SAT
+    path = write(tmp_path, "fig3b.eq", FIG3B)
+    assert main(["enumerate", path, "--max-path", "0"]) == 0
+    assert capsys.readouterr().out == ""
+    # a truncated graph without a T-leaf lists nothing and is UNKNOWN
+    path = write(tmp_path, "inf.eq", "x x A y B z = A x x z y\n")
+    assert main(["enumerate", path, "--scheme", "base", "--max-nodes", "1000"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_solve_early_stop(tmp_path, capsys):
+    path = write(tmp_path, "early.eq", "x A B = A B x\n")
+    assert main(["solve", path, "--early-stop"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "SAT"
+    assert out[1].startswith("nodes=3 depth=1 ") and out[1].endswith(" reason=early_stop")
+    assert out[2] == "x ->"
+    assert main(["solve", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("nodes=5 ") and "reason=" not in out[1]
+
+
 def test_enumerate_with_alphabet(tmp_path, capsys):
     path = write(tmp_path, "comm.eq", "x y = y x\n")
     code = main(["enumerate", path, "--scheme", "base", "--max-len", "1",

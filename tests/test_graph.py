@@ -19,6 +19,7 @@ from wordeq.parse import parse_system, serialize_system
 from wordeq.rewrite import Scheme, simplify
 from wordeq.narrow import step
 from reference import accepted_programs, internal_nodes
+from generators import gen_instance
 
 E = Equation
 
@@ -287,3 +288,35 @@ def test_labels_hold_each_equation_once():
     assert len(g.back_edges) == 0
     assert outcome.reason == "max_nodes"
     assert verdict(outcome) == UNKNOWN
+
+
+@pytest.mark.parametrize("text, nodes, back_edges, labels", [
+    ("u u B B y x = z A B z y x B", 23_257, 1557, 642),
+    ("z x x A A A B z A u = u y y", 209_601, 17_691, 5127),
+])
+def test_quadratic_draws_that_need_a_large_tree(text, nodes, back_edges, labels):
+    # two quadratic draws the benchmark corpus drops for not completing within
+    # its node budget: ancestor folding completes them, UNSAT, on few labels
+    system = parse_system(text)
+    outcome = build(system, Scheme.BASE)
+    g = outcome.graph
+    assert outcome.complete and verdict(outcome) == UNSAT
+    assert len(g.nodes) == nodes
+    assert len(g.back_edges) == back_edges
+    assert len({n.label.equations for n in g.nodes if n.label.is_eqs}) == labels
+    assert brute_solutions(system, "AB", 2) == set()
+
+
+def test_quadratic_labels_never_outgrow_the_root():
+    # Nielsen's argument: on an equation with every variable at most twice,
+    # a step and the cancelling after it keep the term count at most the root's
+    def terms(label):
+        return sum(len(e.lhs) + len(e.rhs) for e in label.equations)
+
+    for length in (8, 12):
+        for seed in range(200):
+            system = gen_instance("quadratic", seed, length=length)
+            for scheme in (Scheme.BASE, Scheme.COUNT):
+                g = build(system, scheme, Budget(max_nodes=20_000)).graph
+                root = terms(g.nodes[0].label)
+                assert all(terms(n.label) <= root for n in g.nodes), (length, seed, scheme)

@@ -188,7 +188,8 @@ def test_edges_follow_the_unfold_step(system, scheme):
 def test_build_equals_reference_build(system, scheme, max_nodes, max_depth, early_stop):
     # Keying folds and expansions on equation tuples changes how a build finds
     # folds and reuses expansions, not what it builds: nodes, edges in insertion
-    # order, the stop reason and the verdict all equal the label-keyed loop's.
+    # order, the stop reason and the verdict all equal the label-keyed loop's,
+    # and the witness the build records is the one a breadth-first walk finds.
     assume(scheme is not Scheme.BASE or len(system) == 1)
     budget = Budget(max_nodes=max_nodes, max_depth=max_depth)
     got = build(system, scheme, budget, early_stop=early_stop)
@@ -202,6 +203,7 @@ def test_build_equals_reference_build(system, scheme, max_nodes, max_depth, earl
     assert list(got.graph.children.items()) == list(want.graph.children.items())
     assert got.reason == want.reason
     assert verdict(got) == reference.verdict(want)
+    assert min_witness(got.graph) == reference.min_witness(want.graph)
 
 
 @settings(derandomize=True, deadline=None, max_examples=1000)  # ~0.4 % of draws: first T-leaf not shallowest
