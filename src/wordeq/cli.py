@@ -52,7 +52,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     result = verdict(outcome)
     print(result)
     graph = outcome.graph
-    line = f"nodes={len(graph.nodes)} depth={graph.max_depth()} time_ms={elapsed_ms}"
+    line = f"nodes={len(graph.labels)} depth={graph.max_depth()} time_ms={elapsed_ms}"
     if outcome.reason:
         line += f" reason={outcome.reason}"
     print(line)
@@ -116,7 +116,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             system = parse_system(path.read_text(encoding="utf-8"))
             outcome = _build(args, system)
             result = verdict(outcome)
-            nodes = len(outcome.graph.nodes)
+            nodes = len(outcome.graph.labels)
             depth = outcome.graph.max_depth()
         except (OSError, ParseError, ValueError):
             result, nodes, depth = "ERROR", 0, 0

@@ -12,11 +12,13 @@ label is expanded, and every later node with an equal label gets its own
 new children from that table.  One table keyed by a label's equation tuple
 holds, per label, the node of the current path expanded with it, the one
 object equal labels share, and that expansion; narrowings are cached per
-first-term pair.  A graph is its nodes, two int maps, ``children`` (an
-expanded node's first child; its children are consecutive ids in narrowing
-order) and ``folds`` (a folded node's target), read by ``out_edges``, and
-``witness``: the program of the tree path to the T-leaf of least
-``(depth, id)``, recorded by the build when it makes that leaf.
+first-term pair.  A graph is ``labels`` (node id -> label), two int maps,
+``children`` (an expanded node's first child; its children are consecutive
+ids in narrowing order) and ``folds`` (a folded node's target), read by
+``out_edges``, and ``witness``: the program of the tree path to the T-leaf
+of least ``(depth, id)``, recorded by the build when it makes that leaf.
+``nodes``, the ``Node(id, label, depth)`` list, is derived from ``labels``
+and ``children`` on each read, so a caller binds it once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count, repeat
+from itertools import chain, count, islice
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import ACCEPTED, Equation, Narrowing, Program, SystemState
@@ -57,7 +59,7 @@ class Node(NamedTuple):
 
 @dataclass
 class SolutionGraph:
-    nodes: List[Node]
+    labels: List[SystemState]  # node id -> label
     system: Tuple[Equation, ...]
     children: Dict[int, int] = field(default_factory=dict)  # expanded node -> first child
     folds: Dict[int, int] = field(default_factory=dict)  # folded node -> target
@@ -72,7 +74,7 @@ class SolutionGraph:
         first = self.children.get(nid)
         if first is None:
             return []
-        return list(zip(compatible_narrowings(self.nodes[nid].label), count(first)))
+        return list(zip(compatible_narrowings(self.labels[nid]), count(first)))
 
     @property
     def tree_edges(self) -> List[Tuple[int, Narrowing, int]]:
@@ -84,11 +86,27 @@ class SolutionGraph:
         """(folded node, target) pairs in fold order."""
         return list(self.folds.items())
 
-    def t_leaves(self) -> List[Node]:
-        return [node for node in self.nodes if node.label.is_accepted]
+    def _depths(self) -> List[int]:
+        """Node id -> depth.  First children grow in ``children`` order and tile
+        ids ``1..N-1``: a node's children run up to the next expansion's first."""
+        depths = [0]
+        ends = chain(islice(self.children.values(), 1, None), [len(self.labels)])
+        for nid, end in zip(self.children, ends):
+            depths += [depths[nid] + 1] * (end - len(depths))
+        return depths
+
+    @property
+    def nodes(self) -> List[Node]:
+        """The nodes, made anew on each read."""
+        new_node = partial(tuple.__new__, Node)  # a Node, without Node's Python-level __new__
+        return list(map(new_node, zip(count(), self.labels, self._depths())))
+
+    def t_leaves(self) -> List[int]:
+        """The ids of the accepting leaves."""
+        return [nid for nid, label in enumerate(self.labels) if label.is_accepted]
 
     def max_depth(self) -> int:
-        return max(n.depth for n in self.nodes)
+        return max(self._depths())
 
 
 @dataclass
@@ -126,8 +144,8 @@ def build(
     deadline = None if budget.timeout_ms is None else time.monotonic() + budget.timeout_ms / 1000.0
 
     root_label = simplify(scheme, SystemState.of(system))
-    nodes = [Node(0, root_label, 0)]
-    graph = SolutionGraph(nodes, tuple(system), witness=() if root_label is ACCEPTED else None)
+    labels = [root_label]
+    graph = SolutionGraph(labels, tuple(system), witness=() if root_label is ACCEPTED else None)
     if not root_label.is_eqs:  # accepted or contradictory: nothing to expand
         return BuildOutcome(graph)
     reason: Optional[str] = None
@@ -142,14 +160,13 @@ def build(
     best = budget.max_depth  # the depth of the expansion that made the witness's T-leaf, if any
     children, folds = graph.children, graph.folds
 
-    new_node = partial(tuple.__new__, Node)  # a Node, without Node's Python-level __new__
     stack = [0]  # node ids to enter, and -1 to leave the last node of the path
     while stack:
         nid = stack.pop()
         if nid < 0:
             path.pop()[0] = -1
             continue
-        _, label, depth = nodes[nid]
+        label = labels[nid]
         eqs = label.equations
         if not eqs:  # a leaf: leaf states hold no equations (__post_init__); _unfold accepts []
             continue
@@ -164,6 +181,7 @@ def build(
             halted = True
             reason = reason or "timeout"
             continue
+        depth = len(path)  # a node is entered with exactly its expanded ancestors on the path
         if depth >= budget.max_depth:
             reason = reason or "max_depth"
             continue
@@ -172,7 +190,7 @@ def build(
         narrowings = entry[2]
         if narrowings is None:
             narrowings = entry[2] = compatible_narrowings(label)
-        first = len(nodes)
+        first = len(labels)
         end = first + len(narrowings)
         if end > budget.max_nodes:
             halted = True
@@ -181,11 +199,11 @@ def build(
         if not narrowings:
             continue
         if entry[3] is None:
-            labels = [step(label, n, scheme) for n in narrowings]
-            entry[3] = [table.setdefault(c.equations, [-1, c, None, None, -1])[1] if c.equations else c for c in labels]
-            entry[4] = next((i for i, c in enumerate(labels) if c is ACCEPTED), -1)
+            made = [step(label, n, scheme) for n in narrowings]
+            entry[3] = [table.setdefault(c.equations, [-1, c, None, None, -1])[1] if c.equations else c for c in made]
+            entry[4] = next((i for i, c in enumerate(made) if c is ACCEPTED), -1)
         children[nid] = first
-        nodes.extend(map(new_node, zip(range(first, end), entry[3], repeat(depth + 1))))
+        labels += entry[3]
         entry[0] = nid
         path.append(entry)
         if entry[4] >= 0 and depth < best:
@@ -208,15 +226,15 @@ def verdict(outcome: BuildOutcome) -> str:
     return UNSAT if outcome.complete else UNKNOWN
 
 
-def _node_dot(node: Node) -> str:
-    if node.label.is_accepted:
-        return f'  n{node.id} [shape=doublecircle, label="T"];'
-    if node.label.is_contradiction:
-        return f'  n{node.id} [shape=diamond, label="F"];'
-    text = "\\n".join(serialize_equation(e) for e in node.label.equations)
-    if not compatible_narrowings(node.label):  # a dead end: an F-leaf too
-        return f'  n{node.id} [shape=diamond, label="F: {text}"];'
-    return f'  n{node.id} [shape=box, label="{text}"];'
+def _node_dot(nid: int, label: SystemState) -> str:
+    if label.is_accepted:
+        return f'  n{nid} [shape=doublecircle, label="T"];'
+    if label.is_contradiction:
+        return f'  n{nid} [shape=diamond, label="F"];'
+    text = "\\n".join(serialize_equation(e) for e in label.equations)
+    if not compatible_narrowings(label):  # a dead end: an F-leaf too
+        return f'  n{nid} [shape=diamond, label="F: {text}"];'
+    return f'  n{nid} [shape=box, label="{text}"];'
 
 
 def to_dot(graph: SolutionGraph, prune: bool = False) -> str:
@@ -227,13 +245,13 @@ def to_dot(graph: SolutionGraph, prune: bool = False) -> str:
     """
     tree_edges = graph.tree_edges
     back_edges = graph.back_edges
-    keep = set(range(len(graph.nodes)))
+    keep = set(range(len(graph.labels)))
     if prune:
         reverse: Dict[int, List[int]] = {}
-        for src in range(len(graph.nodes)):
+        for src in range(len(graph.labels)):
             for _, dst in graph.out_edges(src):
                 reverse.setdefault(dst, []).append(src)
-        keep = {n.id for n in graph.t_leaves()}
+        keep = set(graph.t_leaves())
         frontier = list(keep)
         while frontier:
             nid = frontier.pop()
@@ -242,9 +260,9 @@ def to_dot(graph: SolutionGraph, prune: bool = False) -> str:
                     keep.add(prev)
                     frontier.append(prev)
     lines = ["digraph solution_graph {", "  rankdir=TB;"]
-    for node in graph.nodes:
-        if node.id in keep:
-            lines.append(_node_dot(node))
+    for nid, label in enumerate(graph.labels):
+        if nid in keep:
+            lines.append(_node_dot(nid, label))
     for parent, narrowing, child in tree_edges:
         if parent in keep and child in keep:
             lines.append(f'  n{parent} -> n{child} [label="{narrowing}"];')

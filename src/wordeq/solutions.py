@@ -101,7 +101,7 @@ def enumerate_solutions(
     if alphabet is None:
         alphabet = system_letters(graph.system)
     words = cache(partial(ground_words, check_alphabet(alphabet)))
-    out_edges = cache(graph.out_edges)
+    labels, out_edges = graph.labels, cache(graph.out_edges)
     found: Set[Tuple[Word, ...]] = set()
     frontier = [_normal(graph.root, tuple(variables), frozenset(), max_value_len)]
     seen = set(frontier)
@@ -109,7 +109,7 @@ def enumerate_solutions(
     while frontier:
         next_frontier = []
         for nid, values, empty in frontier:
-            if graph.nodes[nid].label.is_accepted:
+            if labels[nid].is_accepted:
                 _instantiate(values, words, max_value_len, found)
             elif depth < max_path_len:
                 for narrowing, child in out_edges(nid):

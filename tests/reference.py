@@ -11,8 +11,9 @@ programs of bounded walks, the shortest accepting walk by breadth-first
 search) and the oracle over a wider variable set serve only the tests, so
 they live here rather than in the library.  ``build`` and ``verdict`` at
 the end are the library's own from before a build keyed its labels by int:
-tables keyed by the label itself, ``(ENTER/EXIT, arg)`` stack entries, and
-a scan of every label for the verdict.
+tables keyed by the label itself, ``(ENTER/EXIT, arg)`` stack entries, a
+``Node`` list with each node's depth, and a scan of every label for the
+verdict.
 """
 
 from __future__ import annotations
@@ -185,13 +186,14 @@ def enumerate_solutions(
     alphabet = sorted(alphabet)
 
     solutions: Set[Solution] = set()
+    nodes = graph.nodes
     start = (graph.root, tuple(variables))
     seen = {start}
     frontier = [start]
     steps = 0
     while frontier:
         for nid, values in frontier:
-            if graph.nodes[nid].label.is_accepted:
+            if nodes[nid].label.is_accepted:
                 _instantiate(variables, values, alphabet, max_value_len, solutions)
         if steps == max_path_len:
             break
@@ -270,9 +272,10 @@ def accepted_programs(graph: SolutionGraph, max_steps: int) -> List[Program]:
     """The programs of the accepting walks of up to ``max_steps`` narrowings,
     back edges unrolled, in depth-first order (children in edge order)."""
     out: List[Program] = []
+    nodes = graph.nodes
 
     def go(nid: int, prefix: Program) -> None:
-        if graph.nodes[nid].label.is_accepted:
+        if nodes[nid].label.is_accepted:
             out.append(prefix)
             return
         for narrowing, child in graph.out_edges(nid):
@@ -290,12 +293,13 @@ def min_witness(graph: SolutionGraph) -> Optional[Program]:
     breadth-first walk over every edge, from before it read the walk off
     the tree."""
     parent: Dict[int, Tuple[int, Optional[Narrowing]]] = {}
+    nodes = graph.nodes
     seen = {graph.root}
     queue = deque([graph.root])
     goal: Optional[int] = None
     while queue:
         nid = queue.popleft()
-        if graph.nodes[nid].label.is_accepted:
+        if nodes[nid].label.is_accepted:
             goal = nid
             break
         for narrowing, child in graph.out_edges(nid):
@@ -328,8 +332,10 @@ def build(
     budget: Budget = Budget(),
     *,
     early_stop: bool = False,
-) -> BuildOutcome:
-    """Build the (partial) solution graph of an equation system.
+) -> Tuple[BuildOutcome, List[Node]]:
+    """Build the (partial) solution graph of an equation system, and the
+    loop's own list of its nodes, depths included; the graph gets only the
+    labels.
 
     The root is the simplified input; expansion is depth first, children
     in narrowing order, so node numbering and the serialized graph are
@@ -343,7 +349,7 @@ def build(
 
     root_label = simplify(scheme, SystemState.of(system))
     nodes = [Node(0, root_label, 0)]
-    graph = SolutionGraph(nodes, tuple(system))
+    graph = SolutionGraph([root_label], tuple(system))
     reason: Optional[str] = None
     halted = False
 
@@ -394,6 +400,7 @@ def build(
         graph.children[node.id] = first = len(nodes)
         for n, child_label in expansion:
             nodes.append(Node(len(nodes), child_label, node.depth + 1))
+            graph.labels.append(child_label)
             if early_stop and child_label.is_accepted:
                 halted = True
         fold_to[label] = node.id
@@ -401,12 +408,12 @@ def build(
         for child_id in reversed(range(first, len(nodes))):
             stack.append((ENTER, child_id))
 
-    return BuildOutcome(graph, reason)
+    return BuildOutcome(graph, reason), nodes
 
 
 def verdict(outcome: BuildOutcome) -> str:
     """SAT as soon as an accepting leaf exists (valid even when the graph
     is partial); UNSAT only for complete graphs without one."""
-    if any(n.label.is_accepted for n in outcome.graph.nodes):
+    if any(label.is_accepted for label in outcome.graph.labels):
         return SAT
     return UNSAT if outcome.complete else UNKNOWN

@@ -49,8 +49,9 @@ def test_fig3b_structure():
     assert len(g.t_leaves()) == 1
     assert len(g.back_edges) == 2
     # the x -> A x branch folds to the root, y -> A y to the child
-    targets = {g.nodes[src].label: dst for src, dst in g.back_edges}
-    assert targets[g.nodes[0].label] == 0
+    nodes = g.nodes
+    targets = {nodes[src].label: dst for src, dst in g.back_edges}
+    assert targets[nodes[0].label] == 0
     assert to_dot(g) == FIG3B_DOT
 
 
@@ -66,9 +67,10 @@ def test_triptych_split_folds_the_loop():
     g = outcome.graph
     assert outcome.complete
     assert verdict(outcome) == UNSAT
-    root_label = serialize_system(list(g.nodes[0].label.equations))
+    nodes = g.nodes
+    root_label = serialize_system(list(nodes[0].label.equations))
     assert root_label == "y B z = z y\nx x A = A x x"
-    assert all(g.nodes[dst].id == 0 for _, dst in g.back_edges)
+    assert all(nodes[dst].id == 0 for _, dst in g.back_edges)
     assert len(g.back_edges) == 2
 
 
@@ -107,9 +109,10 @@ def test_back_edges_target_ancestors():
         ]
         outcome = build(system, Scheme.SPLIT, Budget(max_nodes=2000))
         g = outcome.graph
+        nodes = g.nodes
         parents = {child: parent for parent, _, child in g.tree_edges}
         for src, dst in g.back_edges:
-            assert g.nodes[src].label == g.nodes[dst].label
+            assert nodes[src].label == nodes[dst].label
             nid = src
             seen = []
             while nid in parents:
@@ -118,7 +121,7 @@ def test_back_edges_target_ancestors():
             assert dst in seen, "fold target must be a proper ancestor"
         folds = dict(g.back_edges)
         assert folds == g.folds and not folds.keys() & g.children.keys()
-        for src in range(len(g.nodes)):
+        for src in range(len(nodes)):
             out = g.out_edges(src)
             if src in folds:
                 assert out == [(None, folds[src])]
@@ -127,7 +130,7 @@ def test_back_edges_target_ancestors():
                 assert [dst for _, dst in out] == list(range(g.children[src], g.children[src] + len(out)))
             else:
                 assert out == []
-        assert len(g.tree_edges) + len(g.back_edges) == sum(len(g.out_edges(n.id)) for n in g.nodes)
+        assert len(g.tree_edges) + len(g.back_edges) == sum(len(g.out_edges(n.id)) for n in nodes)
 
 
 def test_determinism():
@@ -275,16 +278,33 @@ def test_max_depth_budget():
     assert verdict(outcome) == UNKNOWN
 
 
+def test_graph_stores_labels_and_derives_nodes():
+    # a graph stores one label per node; the nodes, depths included, are
+    # made from the labels and the first children on each read
+    outcome = build(parse_system("x x A y B z = A x x z y"), Scheme.BASE, Budget(max_depth=3))
+    g = outcome.graph
+    assert outcome.reason == "max_depth"
+    assert type(g.labels) is list and all(type(label) is SystemState for label in g.labels)
+    nodes = g.nodes
+    assert len(g.labels) == len(nodes) > 1
+    assert [(n.id, n.label) for n in nodes] == list(enumerate(g.labels))
+    assert nodes[0].depth == 0
+    assert all(nodes[child].depth == nodes[parent].depth + 1 for parent, _, child in g.tree_edges)
+    assert g.max_depth() == max(n.depth for n in nodes) == 3
+    assert g.nodes is not g.nodes  # derived, not stored
+
+
 def test_labels_hold_each_equation_once():
     # splitting in this build yields many copies of `z B = B z` (421 in a
     # label of 423 equations, were copies kept); keeping one changes
     # neither the node count, nor the back edges, nor the verdict
     outcome = build(parse_system("y y x A z B = x z B z x"), Scheme.COUNT, Budget(max_nodes=3000))
     g = outcome.graph
-    assert all(len(set(n.label.equations)) == len(n.label.equations) for n in g.nodes)
-    eqs_labels = [n.label for n in g.nodes if n.label.is_eqs]  # equal labels share one object
+    nodes = g.nodes
+    assert all(len(set(n.label.equations)) == len(n.label.equations) for n in nodes)
+    eqs_labels = [n.label for n in nodes if n.label.is_eqs]  # equal labels share one object
     assert len({id(label) for label in eqs_labels}) == len({label.equations for label in eqs_labels}) == 1288
-    assert len(g.nodes) == 3000
+    assert len(nodes) == 3000
     assert len(g.back_edges) == 0
     assert outcome.reason == "max_nodes"
     assert verdict(outcome) == UNKNOWN
@@ -301,9 +321,10 @@ def test_quadratic_draws_that_need_a_large_tree(text, nodes, back_edges, labels)
     outcome = build(system, Scheme.BASE)
     g = outcome.graph
     assert outcome.complete and verdict(outcome) == UNSAT
-    assert len(g.nodes) == nodes
+    graph_nodes = g.nodes
+    assert len(graph_nodes) == nodes
     assert len(g.back_edges) == back_edges
-    assert len({n.label.equations for n in g.nodes if n.label.is_eqs}) == labels
+    assert len({n.label.equations for n in graph_nodes if n.label.is_eqs}) == labels
     assert brute_solutions(system, "AB", 2) == set()
 
 
@@ -317,6 +338,6 @@ def test_quadratic_labels_never_outgrow_the_root():
         for seed in range(200):
             system = gen_instance("quadratic", seed, length=length)
             for scheme in (Scheme.BASE, Scheme.COUNT):
-                g = build(system, scheme, Budget(max_nodes=20_000)).graph
-                root = terms(g.nodes[0].label)
-                assert all(terms(n.label) <= root for n in g.nodes), (length, seed, scheme)
+                nodes = build(system, scheme, Budget(max_nodes=20_000)).graph.nodes
+                root = terms(nodes[0].label)
+                assert all(terms(n.label) <= root for n in nodes), (length, seed, scheme)

@@ -168,13 +168,14 @@ def test_edges_follow_the_unfold_step(system, scheme):
     # edges must still be the ones its own label unfolds to.
     assume(scheme is not Scheme.BASE or len(system) == 1)
     graph = build(system, scheme, Budget(max_nodes=300)).graph
+    nodes = graph.nodes
     for parent in graph.children:
         out = graph.out_edges(parent)
-        label = graph.nodes[parent].label
+        label = nodes[parent].label
         assert [n for n, _ in out] == list(reference.compatible_narrowings(label))
         for n, child in out:
-            assert graph.nodes[child].label == step(label, n, scheme)
-            assert graph.nodes[child].depth == graph.nodes[parent].depth + 1
+            assert nodes[child].label == step(label, n, scheme)
+            assert nodes[child].depth == nodes[parent].depth + 1
 
 
 @SETTINGS
@@ -190,14 +191,18 @@ def test_build_equals_reference_build(system, scheme, max_nodes, max_depth, earl
     # folds and reuses expansions, not what it builds: nodes, edges in insertion
     # order, the stop reason and the verdict all equal the label-keyed loop's,
     # and the witness the build records is the one a breadth-first walk finds.
+    # The depths the graph derives from its first children equal the ones the
+    # loop counted on its own Node list.
     assume(scheme is not Scheme.BASE or len(system) == 1)
     budget = Budget(max_nodes=max_nodes, max_depth=max_depth)
     got = build(system, scheme, budget, early_stop=early_stop)
-    want = reference.build(system, scheme, budget, early_stop=early_stop)
-    assert all(type(node) is Node for node in got.graph.nodes)
-    eqs_labels = [node.label for node in got.graph.nodes if node.label.is_eqs]  # equal labels share one object
+    want, want_nodes = reference.build(system, scheme, budget, early_stop=early_stop)
+    nodes = got.graph.nodes  # derived from the labels and first children
+    assert all(type(node) is Node for node in nodes)
+    eqs_labels = [label for label in got.graph.labels if label.is_eqs]  # equal labels share one object
     assert len({id(label) for label in eqs_labels}) == len({label.equations for label in eqs_labels})
-    assert [tuple(node) for node in got.graph.nodes] == [tuple(node) for node in want.graph.nodes]
+    assert [tuple(node) for node in nodes] == [tuple(node) for node in want_nodes]
+    assert got.graph.max_depth() == max(node.depth for node in want_nodes)
     assert got.graph.tree_edges == want.graph.tree_edges
     assert got.graph.back_edges == want.graph.back_edges
     assert list(got.graph.children.items()) == list(want.graph.children.items())

@@ -61,7 +61,7 @@ def fingerprint(scheme: str, max_nodes: int, text: str) -> List[str]:
         verdict(outcome),
         str(int(outcome.complete)),
         outcome.reason or "-",
-        str(len(graph.nodes)),
+        str(len(graph.labels)),
         str(len(graph.back_edges)),
         _sha(repr(sorted(graph.back_edges))),
         _sha(to_dot(graph)),
