@@ -12,13 +12,15 @@ label is expanded, and every later node with an equal label gets its own
 new children from that table.  One table keyed by a label's equation tuple
 holds, per label, the node of the current path expanded with it, the one
 object equal labels share, and that expansion; narrowings are cached per
-first-term pair.  A graph is ``labels`` (node id -> label), two int maps,
-``children`` (an expanded node's first child; its children are consecutive
-ids in narrowing order) and ``folds`` (a folded node's target), read by
-``out_edges``, and ``witness``: the program of the tree path to the T-leaf
-of least ``(depth, id)``, recorded by the build when it makes that leaf.
-``nodes``, the ``Node(id, label, depth)`` list, is derived from ``labels``
-and ``children`` on each read, so a caller binds it once.
+first-term pair.  Equal equations in different labels share the equation
+memo of ``rewrite``, made and dropped in ``build``.  A graph is ``labels``
+(node id -> label), two int maps, ``children`` (an expanded node's first
+child; its children are consecutive ids in narrowing order) and ``folds``
+(a folded node's target), read by ``out_edges``, and ``witness``: the
+program of the tree path to the T-leaf of least ``(depth, id)``, recorded
+by the build when it makes that leaf.  ``nodes``, the ``Node(id, label,
+depth)`` list, is derived from ``labels`` and ``children`` on each read,
+so a caller binds it once.
 """
 
 from __future__ import annotations
@@ -156,6 +158,7 @@ def build(
     # label once), its narrowings, its child labels (None until expanded) and
     # the offset of its first accepting child (-1 for none)].
     table: Dict[Tuple[Equation, ...], list] = {root_label.equations: [-1, root_label, None, None, -1]}
+    memo: dict = {}  # (equation, variable, target) -> pieces; see the rewrite module
     path: List[list] = []  # the entries of the expanded nodes on the current path
     best = budget.max_depth  # the depth of the expansion that made the witness's T-leaf, if any
     children, folds = graph.children, graph.folds
@@ -168,7 +171,7 @@ def build(
             continue
         label = labels[nid]
         eqs = label.equations
-        if not eqs:  # a leaf: leaf states hold no equations (__post_init__); _unfold accepts []
+        if not eqs:  # a leaf: leaf states hold no equations (__new__); _unfold accepts []
             continue
         entry = table[eqs]
         if entry[0] >= 0:
@@ -199,7 +202,7 @@ def build(
         if not narrowings:
             continue
         if entry[3] is None:
-            made = [step(label, n, scheme) for n in narrowings]
+            made = [step(label, n, scheme, memo) for n in narrowings]
             entry[3] = [table.setdefault(c.equations, [-1, c, None, None, -1])[1] if c.equations else c for c in made]
             entry[4] = next((i for i, c in enumerate(made) if c is ACCEPTED), -1)
         children[nid] = first

@@ -12,9 +12,9 @@ of elementary steps reach every solution (the classic rules miss e.g.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
-from .core import TERMS, Narrowing, SystemState, eps, prepend_letter, prepend_var
+from .core import EQS, TERMS, Narrowing, SystemState, eps, prepend_letter, prepend_var
 from .rewrite import Scheme, _unfold
 
 
@@ -26,7 +26,7 @@ def compatible_narrowings(s: SystemState) -> Tuple[Narrowing, ...]:
     result marks a dead end.  The first equation must be reduced and not
     trivial.
     """
-    if not s.is_eqs or not s.equations:
+    if s.kind is not EQS or not s.equations:
         raise ValueError("narrowings are generated for nonempty equation lists only")
     lhs, rhs = s.equations[0]
     if not lhs and not rhs:
@@ -48,7 +48,7 @@ def _narrowings(p: str, q: str) -> Tuple[Narrowing, ...]:
     return ()
 
 
-def step(s: SystemState, n: Narrowing, scheme: Scheme) -> SystemState:
+def step(s: SystemState, n: Narrowing, scheme: Scheme, memo: Optional[dict] = None) -> SystemState:
     """One unfold step: apply the narrowing, then simplify the result.
 
     ``s`` must be a simplify output (every pipeline state is).  Equations
@@ -56,4 +56,4 @@ def step(s: SystemState, n: Narrowing, scheme: Scheme) -> SystemState:
     the touched ones are reworked; the result equals simplifying the
     substituted state wholesale.
     """
-    return _unfold(scheme, s, n)
+    return _unfold(scheme, s, n, memo)

@@ -8,6 +8,12 @@ shortest var-permutated prefixes, and ``COUNT`` also splits the remainder
 on var-permutated suffixes and then applies the counting check to every
 resulting equation.  One per-equation loop serves both the root
 simplification and the unfold step of ``narrow.step``.
+
+A build passes that step a memo it drops on return, mapping ``(equation,
+variable, target)`` to the substituted equation's pieces, ``None`` for a
+contradiction.  Keys hold the parent's equation, so no substituted word is
+kept; a contradiction writes only its own key, so no discarded label's
+pieces are; one-equation labels, each unfolded once per build, skip it.
 """
 
 from __future__ import annotations
@@ -21,26 +27,27 @@ from .core import (
     ACCEPTED,
     CONTRADICTION,
     EMPTY_EQUATION,
+    EQS,
     LETTERS,
     Equation,
     Narrowing,
-    StateKind,
     SystemState,
     letter_count,
 )
-
-
-_LETTER = re.compile("[A-Z]")
-# Positions the split scan reads one by one before it looks for a stretch of
-# variables to skip; looking after every position slows the short scans.
-_SCAN_WINDOW = 16
-_equation = partial(tuple.__new__, Equation)  # an Equation, without its Python-level __new__
 
 
 class Scheme(Enum):
     BASE = "base"
     SPLIT = "split"
     COUNT = "count"
+
+
+_BASE, _COUNT = Scheme.BASE, Scheme.COUNT  # a member read through the class costs ten times a global's
+_LETTER = re.compile("[A-Z]")
+# Positions the split scan reads one by one before it looks for a stretch of
+# variables to skip; looking after every position slows the short scans.
+_SCAN_WINDOW = 16
+_equation = partial(tuple.__new__, Equation)  # an Equation, without its Python-level __new__
 
 
 def _strip(l: str, r: str, a: int, b: int) -> Optional[Tuple[int, int]]:
@@ -180,7 +187,7 @@ def _split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
         if offsets is None:
             return None
         a, b = offsets
-    if scheme is Scheme.COUNT and a < m:
+    if scheme is _COUNT and a < m:
         rl, rr = l[::-1], r[::-1]
         while a + b < m and (k := _split_scan(rl, rr, b, m - a - b)) is not None:
             suffixes.append(Equation(l[nl - b - k : nl - b], r[nr - b - k : nr - b]))
@@ -216,18 +223,18 @@ def simplify_equation(scheme: Scheme, eq: Equation) -> Optional[List[Equation]]:
     reduced = reduce(eq)
     if reduced is None:
         return None
-    if scheme is Scheme.BASE:  # the reduced equation is the piece
+    if scheme is _BASE:  # the reduced equation is the piece
         return [reduced] if reduced != EMPTY_EQUATION else []
     pieces = _split_pieces(scheme, reduced)
     if pieces is None:
         return None
     pieces = [p for p in pieces if p != EMPTY_EQUATION]
-    if scheme is Scheme.COUNT and any(count_unsat(p) for p in pieces):
+    if scheme is _COUNT and any(count_unsat(p) for p in pieces):
         return None
     return pieces
 
 
-def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing]) -> SystemState:
+def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Optional[dict] = None) -> SystemState:
     """Simplify ``s``, or with a narrowing, the state it substitutes to.
 
     With a narrowing, ``s`` must be a simplify output: equations the
@@ -237,24 +244,31 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing]) -> SystemSta
     copy of each equation, so a label holds each equation once; the first
     equation, which picks the narrowings, is never dropped.  Any contradiction
     discards the whole list and yields the contradiction state; an empty
-    final list is accepted.
+    final list is accepted.  ``memo`` is a build's equation memo.
     """
-    if s.kind is not StateKind.EQS:
+    if s.kind is not EQS:
         raise ValueError(f"cannot simplify a {s.kind.value} state")
-    if scheme is Scheme.BASE and len(s.equations) != 1:
+    if scheme is _BASE and len(s.equations) != 1:
         raise ValueError("the base scheme handles exactly one equation")
     out: List[Equation] = []
-    var, replacement = (n.var, n.replacement) if n is not None else ("", "")
+    var, target = (n.var, n.target) if n is not None else ("", "")
+    replacement = target + var if target else ""
+    new = {} if memo is not None and len(s.equations) > 1 else None
     for eq in s.equations:
-        if n is not None:
-            if var not in eq.lhs and var not in eq.rhs:
-                out.append(eq)
-                continue
+        if var not in eq.lhs and var not in eq.rhs:  # without a narrowing, var is "", in every word
+            out.append(eq)
+            continue
+        pieces = memo.get(key := (eq, var, target), False) if new is not None else False
+        if pieces is False:
             eq = _equation((eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement)))
-        pieces = simplify_equation(scheme, eq)
+            pieces = simplify_equation(scheme, eq)
+            if new is not None:  # a contradiction's key goes in at once, the others on success
+                (new if pieces is not None else memo)[key] = pieces
         if pieces is None:
             return CONTRADICTION
         out.extend(pieces)
+    if new:
+        memo.update(new)
     if not out:
         return ACCEPTED
     # skipping dict.fromkeys on one equation, which cannot repeat, saves a

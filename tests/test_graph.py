@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from wordeq import graph as graph_module
-from wordeq.core import Equation, Narrowing, SystemState
+from wordeq import rewrite as rewrite_module
+from wordeq.core import CONTRADICTION, Equation, Narrowing, SystemState
 from wordeq.graph import (
     SAT,
     UNKNOWN,
@@ -245,7 +247,7 @@ def step_calls(monkeypatch):
     """The (label, narrowing) pairs ``build`` unfolds, in call order."""
     calls = []
     unfold = graph_module.step
-    monkeypatch.setattr(graph_module, "step", lambda s, n, scheme: calls.append((s, n)) or unfold(s, n, scheme))
+    monkeypatch.setattr(graph_module, "step", lambda s, n, *rest: calls.append((s, n)) or unfold(s, n, *rest))
     return calls
 
 
@@ -269,6 +271,83 @@ def test_budget_refusal_unfolds_nothing(step_calls):
     assert outcome.reason == "max_nodes"
     assert len(outcome.graph.nodes) == 1
     assert step_calls == []
+
+
+def touched_keys(s, n, scheme):
+    """The memo keys ``(equation, variable, target)`` an unfold of ``s`` by
+    ``n`` reads: the equations ``n`` substitutes, in label order, up to the
+    first one that simplifies to a contradiction."""
+    keys = []
+    replacement = n.target + n.var if n.target else ""
+    for eq in s.equations:
+        if n.var in eq.lhs or n.var in eq.rhs:
+            keys.append((eq, n.var, n.target))
+            substituted = E(eq.lhs.replace(n.var, replacement), eq.rhs.replace(n.var, replacement))
+            if rewrite_module.simplify_equation(scheme, substituted) is None:
+                break
+    return keys
+
+
+def test_equation_memo_calls_and_lifetime(monkeypatch):
+    # Under count, this equation grows labels of up to three equations that
+    # share equations.  A one-equation label is simplified at each of its
+    # unfolds; an equation of a longer label is simplified only when its key
+    # is not yet in the build's memo, which holds the keys of every unfold
+    # that kept its label and the contradicting key of every other one.
+    system = parse_system("y y x A z B = x z B z x")
+    simplified, unfolds, memos = [], [], []
+    simplify_equation = rewrite_module.simplify_equation
+    monkeypatch.setattr(
+        rewrite_module, "simplify_equation", lambda scheme, eq: simplified.append(eq) or simplify_equation(scheme, eq)
+    )
+    unfold = graph_module.step
+
+    def step(s, n, scheme, memo):
+        before = len(simplified)
+        child = unfold(s, n, scheme, memo)
+        unfolds.append((s, n, child, len(simplified) - before))
+        memos.append(memo)
+        return child
+
+    monkeypatch.setattr(graph_module, "step", step)
+    outcome = build(system, Scheme.COUNT, Budget(max_nodes=300))
+    assert outcome.reason == "max_nodes" and len(outcome.graph.labels) == 300
+    memo = memos[0]
+    assert all(m is memo for m in memos)
+    with monkeypatch.context() as m:
+        m.setattr(rewrite_module, "simplify_equation", simplify_equation)
+        kept, hits, multi = set(), 0, 0
+        for s, n, child, calls in unfolds:
+            if len(s.equations) == 1:
+                assert calls == 1
+                continue
+            multi += 1
+            keys = touched_keys(s, n, Scheme.COUNT)
+            assert calls == len(set(keys) - kept)
+            hits += len(keys) - calls
+            kept.update(keys if child is not CONTRADICTION else keys[-1:])
+    assert set(memo) == kept
+    assert multi > 200 and hits > 200  # the labels do share equations
+    assert len(simplified) < len(unfolds)
+    # the memo dies with its build: nothing else holds it, and a second
+    # build simplifies the same equations again into a new one
+    memos.clear()
+    assert sys.getrefcount(memo) == 2  # this name and the argument
+    first = list(simplified)
+    build(system, Scheme.COUNT, Budget(max_nodes=300))
+    assert simplified[len(first) :] == first
+    assert memos[0] is not memo and set(memos[0]) == kept
+
+
+def test_one_equation_builds_leave_the_memo_empty(monkeypatch):
+    # Criterion 4's equation under base: every label holds one equation, and
+    # the label table already unfolds each once per build
+    memos = []
+    unfold = graph_module.step
+    monkeypatch.setattr(graph_module, "step", lambda s, n, scheme, memo: memos.append(memo) or unfold(s, n, scheme, memo))
+    outcome = build(parse_system("x y z A B A B A B = A A A B B B y z x"), Scheme.BASE, Budget(max_nodes=200_000))
+    assert len(outcome.graph.labels) == 605
+    assert len(memos) == 144 and memos[0] == {} and all(m is memos[0] for m in memos)
 
 
 def test_max_depth_budget():

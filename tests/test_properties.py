@@ -1,7 +1,8 @@
 """Property tests of the split loop, of the count check, of duplicate-free
-labels, of graph edges against the unfold step, of builds against the
-reference build, of witnesses against a breadth-first walk, of bounded
-enumeration, and of verdicts against witnesses and the oracle."""
+labels, of unfolds with and without an equation memo, of graph edges
+against the unfold step, of builds against the reference build, of
+witnesses against a breadth-first walk, of bounded enumeration, and of
+verdicts against witnesses and the oracle."""
 
 from unittest.mock import patch
 
@@ -14,7 +15,7 @@ from wordeq.core import Equation, SystemState, letter_count
 from wordeq.graph import SAT, UNSAT, Budget, Node, build, verdict
 from wordeq.narrow import compatible_narrowings, step
 from wordeq.oracle import brute_solutions, satisfies, system_variables
-from wordeq.rewrite import Scheme, _split_pieces, count_unsat, reduce, simplify, simplify_equation
+from wordeq.rewrite import Scheme, _split_pieces, _unfold, count_unsat, reduce, simplify, simplify_equation
 from wordeq.solutions import enumerate_solutions, min_witness, path_solution
 from wordeq.witness import verify
 
@@ -159,6 +160,22 @@ def test_labels_hold_each_equation_once(system, data):
 
 SIDES = st.text("ABxyz", min_size=1, max_size=6)
 SYSTEMS = st.lists(st.builds(E, SIDES, SIDES), min_size=1, max_size=2)
+
+
+@SETTINGS
+@given(st.lists(st.builds(E, SIDES, SIDES), min_size=2, max_size=4), st.sampled_from([Scheme.SPLIT, Scheme.COUNT]), st.data())
+def test_unfold_with_a_shared_memo_equals_unfold_without(pool, scheme, data):
+    # States of two or three equations from one pool share equations, and so
+    # do their children: later unfolds read the keys earlier ones wrote, and
+    # the last pass over the states reads nothing else.
+    memo = {}
+    draw_state = st.lists(st.sampled_from(pool), min_size=2, max_size=3)
+    states = [simplify(scheme, SystemState.of(data.draw(draw_state))) for _ in range(3)]
+    children = [step(s, n, scheme) for s in states if s.is_eqs for n in compatible_narrowings(s)]
+    for s in states + children + states:
+        if s.is_eqs:
+            for n in compatible_narrowings(s):
+                assert _unfold(scheme, s, n, memo) == _unfold(scheme, s, n)
 
 
 @SETTINGS

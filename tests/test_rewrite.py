@@ -3,10 +3,11 @@ import random
 import pytest
 
 from wordeq import rewrite
-from wordeq.core import ACCEPTED, CONTRADICTION, Equation, SystemState
+from wordeq.core import ACCEPTED, CONTRADICTION, Equation, SystemState, eps, prepend_letter
 from wordeq.oracle import system_variables
 from wordeq.rewrite import (
     Scheme,
+    _unfold,
     count_unsat,
     reduce,
     simplify,
@@ -108,6 +109,19 @@ def test_repeated_pieces_are_scanned_once(monkeypatch):
         calls.clear()
         assert simplify_equation(scheme, E("xz" * 300, "zx" * 300)) == [E("xz", "zx")]
         assert len(calls) <= 2, scheme
+
+
+def test_contradiction_leaves_only_its_key_in_the_memo():
+    # x -> A x keeps x A = A x and clashes B against A in x B = B y: the
+    # first equation's pieces are not kept, the clash is
+    s = simplify(Scheme.COUNT, SystemState.of([E("xA", "Ax"), E("xB", "By")]))
+    assert s.equations == (E("xA", "Ax"), E("xB", "By"))
+    memo = {}
+    assert _unfold(Scheme.COUNT, s, prepend_letter("x", "A"), memo) is CONTRADICTION
+    assert memo == {(E("xB", "By"), "x", "A"): None}
+    # a label that is kept writes the key of every equation it substitutes
+    assert _unfold(Scheme.COUNT, s, eps("x"), memo) == _unfold(Scheme.COUNT, s, eps("x"))
+    assert set(memo) == {(E("xB", "By"), "x", "A"), (E("xA", "Ax"), "x", ""), (E("xB", "By"), "x", "")}
 
 
 def test_count_unsat():
