@@ -7,7 +7,6 @@ from .core import (
     Narrowing,
     SystemState,
     apply_to_word,
-    compose_value,
     eps,
     prepend_letter,
     prepend_var,
@@ -16,7 +15,7 @@ from .graph import SAT, UNKNOWN, UNSAT, Budget, build, to_dot, verdict
 from .oracle import brute_solutions
 from .parse import parse_program, parse_system, serialize_program, serialize_system
 from .rewrite import Scheme, simplify
-from .solutions import Solution, enumerate_solutions, min_witness, path_solution
+from .solutions import Solution, enumerate_solutions, min_witness
 from .witness import verify
 
 __all__ = [
@@ -34,13 +33,11 @@ __all__ = [
     "apply_to_word",
     "brute_solutions",
     "build",
-    "compose_value",
     "enumerate_solutions",
     "eps",
     "min_witness",
     "parse_program",
     "parse_system",
-    "path_solution",
     "prepend_letter",
     "prepend_var",
     "serialize_program",

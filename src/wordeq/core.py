@@ -165,14 +165,6 @@ def apply_to_word(n: Narrowing, w: Word) -> Word:
     return w.replace(n.var, n.replacement)
 
 
-def compose_value(p: Iterable[Narrowing], x: str) -> Word:
-    """Value of ``x`` under the left-to-right composition of the program."""
-    w: Word = x
-    for n in p:
-        w = apply_to_word(n, w)
-    return w
-
-
 def ground_words(alphabet: Iterable[str], max_len: int) -> list:
     """All ground words over the alphabet up to the bound, shortest first,
     lexicographic within a length; ``ValueError`` rather than list more

@@ -139,10 +139,13 @@ def build(
     in narrowing order, so node numbering and the serialized graph are
     deterministic.  Exceeding the budget, its timeout included, stops
     expansion and is reported in the outcome, not raised.  With
-    ``early_stop`` the build halts at the first accepting leaf.
+    ``early_stop`` the build halts at the first accepting leaf.  ``scheme``
+    is a ``Scheme`` member or its value, such as ``"count"``.
     """
     if not system:
         raise ValueError("empty system")
+    if scheme.__class__ is not Scheme:  # a member's Scheme() call costs a few per cent of a small build
+        scheme = Scheme(scheme)
     deadline = None if budget.timeout_ms is None else time.monotonic() + budget.timeout_ms / 1000.0
 
     root_label = simplify(scheme, SystemState.of(system))

@@ -49,7 +49,8 @@ def _narrowings(p: str, q: str) -> Tuple[Narrowing, ...]:
 
 
 def step(s: SystemState, n: Narrowing, scheme: Scheme, memo: Optional[dict] = None) -> SystemState:
-    """One unfold step: apply the narrowing, then simplify the result.
+    """One unfold step: apply the narrowing, then simplify the result under
+    ``scheme``, which must be a ``Scheme`` member, not its value.
 
     ``s`` must be a simplify output (every pipeline state is).  Equations
     the substitution does not touch are then already simplified, so only

@@ -277,6 +277,6 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Option
 
 
 def simplify(scheme: Scheme, s: SystemState) -> SystemState:
-    """Simplify an equation-list state under the given scheme; trivial
-    equations are dropped."""
-    return _unfold(scheme, s, None)
+    """Simplify an equation-list state under the given scheme, a member or
+    its value; trivial equations are dropped."""
+    return _unfold(scheme if scheme.__class__ is Scheme else Scheme(scheme), s, None)

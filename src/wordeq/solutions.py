@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
 from math import prod
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from .core import (
     MAX_GROUND_WORDS,
@@ -24,7 +24,6 @@ from .core import (
     Word,
     apply_to_word,
     check_alphabet,
-    compose_value,
     ground_words,
     letter_count,
     system_letters,
@@ -35,33 +34,16 @@ from .graph import SolutionGraph
 
 @dataclass(frozen=True)
 class Solution:
-    """An assignment of words to variables, sorted by variable name.
-
-    ``residual_free`` lists the variables whose value is not ground; any
-    ground word may be substituted for them (simultaneously in all
-    values).
-    """
+    """An assignment of words to variables, sorted by variable name."""
 
     items: Tuple[Tuple[str, Word], ...]
-    residual_free: FrozenSet[str] = frozenset()
 
     @staticmethod
-    def of(assignment: Dict[str, Word], residual_free: Iterable[str] = ()) -> "Solution":
-        return Solution(tuple(sorted(assignment.items())), frozenset(residual_free))
+    def of(assignment: Dict[str, Word]) -> "Solution":
+        return Solution(tuple(sorted(assignment.items())))
 
     def __str__(self) -> str:
         return ", ".join(f"{var}={value}" for var, value in self.items)
-
-
-def path_solution(p: Program, variables: Iterable[str]) -> Solution:
-    """Composed values of the given variables under the program.
-
-    Variables whose composed value still contains variables are reported
-    as residual-free, their partially composed value included.
-    """
-    assignment = {x: compose_value(p, x) for x in variables}
-    residual = [x for x, value in assignment.items() if any(c.islower() for c in value)]
-    return Solution.of(assignment, residual)
 
 
 def min_witness(graph: SolutionGraph) -> Optional[Program]:

@@ -6,21 +6,21 @@ library computes them: occurrence counts, the count check and var-permutation
 by counting, the split loop by slicing and re-reducing the remainder after
 every split, and bounded enumeration by a walk over fully composed values
 whose leaves are instantiated with every ground word within the value bound.
-The graph helpers (expanded nodes, the program of a given walk, the accepted
-programs of bounded walks, the shortest accepting walk by breadth-first
-search) and the oracle over a wider variable set serve only the tests, so
-they live here rather than in the library.  ``build`` and ``verdict`` at
-the end are the library's own from before a build keyed its labels by int:
-tables keyed by the label itself, ``(ENTER/EXIT, arg)`` stack entries, a
-``Node`` list with each node's depth, and a scan of every label for the
-verdict.
+The value of a variable under a program, the graph helpers (expanded nodes,
+the program of a given walk, the accepted programs of bounded walks, the
+shortest accepting walk by breadth-first search) and the oracle over a wider
+variable set serve only the tests, so they live here rather than in the
+library.  ``build`` and ``verdict`` at the end are the library's own from
+before a build keyed its labels by int: tables keyed by the label itself,
+``(ENTER/EXIT, arg)`` stack entries, a ``Node`` list with each node's depth,
+and a scan of every label for the verdict.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter, deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from wordeq.core import (
     Equation,
@@ -48,6 +48,14 @@ def apply_to_state(n: Narrowing, s: SystemState) -> SystemState:
     return SystemState.of(
         Equation(apply_to_word(n, e.lhs), apply_to_word(n, e.rhs)) for e in s.equations
     )
+
+
+def compose_value(p: Iterable[Narrowing], x: str) -> Word:
+    """Value of ``x`` under the left-to-right composition of the program."""
+    w: Word = x
+    for n in p:
+        w = apply_to_word(n, w)
+    return w
 
 
 def compatible_narrowings(s: SystemState) -> Tuple[Narrowing, ...]:

@@ -8,7 +8,7 @@ import random
 import time
 from itertools import product
 
-from wordeq.core import Equation, compose_value, ground_words
+from wordeq.core import Equation, ground_words
 from wordeq.graph import SAT, UNKNOWN, UNSAT, Budget, build, to_dot, verdict
 from wordeq.oracle import brute_solutions, satisfies, system_variables
 from wordeq.parse import parse_system
@@ -16,7 +16,7 @@ from wordeq.rewrite import Scheme
 from wordeq.solutions import enumerate_solutions, min_witness
 from wordeq.witness import verify
 from generators import gen_instance
-from reference import accepted_programs, internal_nodes
+from reference import accepted_programs, compose_value, internal_nodes
 
 E = Equation
 

@@ -10,7 +10,6 @@ from wordeq.core import (
     SystemState,
     apply_to_word,
     MAX_GROUND_WORDS,
-    compose_value,
     eps,
     ground_words,
     letter_count,
@@ -18,7 +17,7 @@ from wordeq.core import (
     prepend_var,
 )
 from generators import classify
-from reference import apply_to_state, count_occurrences, erase_letters, is_var_permutated
+from reference import apply_to_state, compose_value, count_occurrences, erase_letters, is_var_permutated
 
 
 def test_count_occurrences():

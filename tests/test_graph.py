@@ -20,6 +20,7 @@ from wordeq.oracle import brute_solutions
 from wordeq.parse import parse_system, serialize_system
 from wordeq.rewrite import Scheme, simplify
 from wordeq.narrow import step
+from wordeq.witness import verify
 from reference import accepted_programs, internal_nodes
 from generators import gen_instance
 
@@ -96,6 +97,21 @@ def test_build_rejects_empty_system():
         build([], Scheme.BASE)
     with pytest.raises(ValueError):
         build([E("x", "A"), E("y", "B")], Scheme.BASE)
+
+
+def test_scheme_by_value():
+    """Each entry point takes a scheme's value for the member; any other
+    value raises, rather than run as some scheme."""
+    system = parse_system("x x A = A x")
+    for scheme in Scheme:
+        assert to_dot(build(system, scheme.value).graph) == to_dot(build(system, scheme).graph)
+    assert len(build(system, "count").graph.labels) == 2
+    with pytest.raises(ValueError):
+        build(system, "bogus")
+    with pytest.raises(ValueError):
+        verify((), system, "bogus")
+    with pytest.raises(ValueError):
+        simplify("base", SystemState.of([E("x", "A"), E("y", "B")]))
 
 
 def test_back_edges_target_ancestors():

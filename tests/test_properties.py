@@ -16,7 +16,7 @@ from wordeq.graph import SAT, UNSAT, Budget, Node, build, verdict
 from wordeq.narrow import compatible_narrowings, step
 from wordeq.oracle import brute_solutions, satisfies, system_variables
 from wordeq.rewrite import Scheme, _split_pieces, _unfold, count_unsat, reduce, simplify, simplify_equation
-from wordeq.solutions import enumerate_solutions, min_witness, path_solution
+from wordeq.solutions import enumerate_solutions, min_witness
 from wordeq.witness import verify
 
 E = Equation
@@ -261,7 +261,7 @@ def test_enumerate_equals_reference(system, scheme, max_nodes, max_len, max_path
     with patch.object(solutions, "_normal", normal):
         got = enumerate_solutions(graph, max_len, max_path, alphabet)
     want = reference.enumerate_solutions(graph, max_len, max_path, alphabet)
-    assert {(s.items, s.residual_free) for s in got} == {(s.items, s.residual_free) for s in want}
+    assert got == want
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -275,7 +275,7 @@ def test_verdicts_agree_with_witnesses_and_oracle(system):
         assert verify(witness, system, Scheme.COUNT)
         # the composed values solve the system as they stand, and so does
         # their ground instance with every residual variable erased
-        solution = dict(path_solution(witness, variables).items)
+        solution = {x: reference.compose_value(witness, x) for x in variables}
         assert satisfies(system, solution)
         erase = dict.fromkeys(map(ord, "xyz"))
         assert satisfies(system, {x: v.translate(erase) for x, v in solution.items()})

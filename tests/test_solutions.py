@@ -7,12 +7,7 @@ from wordeq.graph import Budget, build
 from wordeq.oracle import brute_solutions, satisfies
 from wordeq.parse import parse_system
 from wordeq.rewrite import Scheme
-from wordeq.solutions import (
-    Solution,
-    enumerate_solutions,
-    min_witness,
-    path_solution,
-)
+from wordeq.solutions import Solution, enumerate_solutions, min_witness
 from wordeq.witness import verify
 from reference import extract_program
 
@@ -48,19 +43,6 @@ def test_extract_program_errors(fig3b):
         extract_program(g, [0, 3])  # no such edge
     with pytest.raises(ValueError):
         extract_program(g, [1, 3])  # must start at the root
-
-
-def test_path_solution():
-    sol = path_solution((prepend_letter("x", "A"), eps("x")), {"x", "y"})
-    assert dict(sol.items) == {"x": "A", "y": "y"}
-    assert sol.residual_free == {"y"}
-
-    free = path_solution((), {"x"})
-    assert free.residual_free == {"x"}
-
-    partial = path_solution((eps("y"),), {"x", "y"})
-    assert dict(partial.items) == {"x": "x", "y": ""}
-    assert partial.residual_free == {"x"}
 
 
 def test_enumerate_fig3b(fig3b):
@@ -153,4 +135,3 @@ def test_enumerated_solutions_satisfy_system():
 def test_solution_rendering():
     sol = Solution.of({"x": "AB", "y": "", "z": "A"})
     assert str(sol) == "x=AB, y=, z=A"
-    assert not sol.residual_free

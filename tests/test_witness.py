@@ -1,12 +1,12 @@
 import random
 
-from wordeq.core import Equation, compose_value, eps, prepend_letter, prepend_var
+from wordeq.core import Equation, eps, prepend_letter, prepend_var
 from wordeq.graph import Budget, build
 from wordeq.oracle import satisfies, system_variables
 from wordeq.parse import parse_system
 from wordeq.rewrite import Scheme
 from wordeq.witness import verify
-from reference import accepted_programs
+from reference import accepted_programs, compose_value
 
 E = Equation
 
