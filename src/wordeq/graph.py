@@ -14,22 +14,24 @@ holds, per label, the node of the current path expanded with it, the one
 object equal labels share, and that expansion; narrowings are cached per
 first-term pair.  Equal equations in different labels share the equation
 memo of ``rewrite``, made and dropped in ``build``.  A graph is ``labels``
-(node id -> label), two int maps, ``children`` (an expanded node's first
-child; its children are consecutive ids in narrowing order) and ``folds``
-(a folded node's target), read by ``out_edges``, and ``witness``: the
-program of the tree path to the T-leaf of least ``(depth, id)``, recorded
-by the build when it makes that leaf.  ``nodes``, the ``Node(id, label,
-depth)`` list, is derived from ``labels`` and ``children`` on each read,
-so a caller binds it once.
+(node id -> label), an expansion log of two ``array('l')``, ``expanded``
+(the expanded nodes in expansion order) and ``firsts`` (the first child of
+each; its children are consecutive ids in narrowing order), ``folds`` (a
+folded node's target) and ``witness``: the program of the tree path to the
+T-leaf of least ``(depth, id)``, recorded by the build when it makes that
+leaf.  ``nodes``, the ``Node(id, label, depth)`` list, is derived from the
+log on each read; ``children`` views a map made from it once.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, count, islice
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .core import ACCEPTED, Equation, Narrowing, Program, SystemState
 from .narrow import compatible_narrowings, step
@@ -40,7 +42,7 @@ from .rewrite import Scheme, simplify
 @dataclass(frozen=True)
 class Budget:
     """The limits of one build; ``timeout_ms`` (wall time, ``None`` for no
-    limit) is checked before every expansion."""
+    limit) is checked before every expansion.  A dead end meets no limit."""
 
     max_nodes: int = 1_000_000
     max_depth: int = 10_000
@@ -63,17 +65,27 @@ class Node(NamedTuple):
 class SolutionGraph:
     labels: List[SystemState]  # node id -> label
     system: Tuple[Equation, ...]
-    children: Dict[int, int] = field(default_factory=dict)  # expanded node -> first child
+    expanded: array = field(default_factory=partial(array, "l"))  # expanded nodes in expansion order
+    firsts: array = field(default_factory=partial(array, "l"))  # their first children
     folds: Dict[int, int] = field(default_factory=dict)  # folded node -> target
     witness: Optional[Program] = None  # the tree path to the least (depth, id) T-leaf
     root = 0
+
+    @cached_property
+    def _first_child(self) -> Dict[int, int]:  # made once: callers call out_edges per node
+        return dict(zip(self.expanded, self.firsts))
+
+    @property
+    def children(self) -> Mapping[int, int]:
+        """Expanded node -> first child, in expansion order; a read-only view."""
+        return MappingProxyType(self._first_child)
 
     def out_edges(self, nid: int) -> List[Tuple[Optional[Narrowing], int]]:
         """A node's tree edges ``(narrowing, child)`` in narrowing order, or a
         folded node's one back edge ``(None, target)``; none for other nodes."""
         if nid in self.folds:
             return [(None, self.folds[nid])]
-        first = self.children.get(nid)
+        first = self._first_child.get(nid)
         if first is None:
             return []
         return list(zip(compatible_narrowings(self.labels[nid]), count(first)))
@@ -81,7 +93,8 @@ class SolutionGraph:
     @property
     def tree_edges(self) -> List[Tuple[int, Narrowing, int]]:
         """(parent, narrowing, child) triples in expansion order."""
-        return [(src, n, dst) for src in self.children for n, dst in self.out_edges(src)]
+        return [(src, n, dst) for src, first in zip(self.expanded, self.firsts)
+                for n, dst in zip(compatible_narrowings(self.labels[src]), count(first))]
 
     @property
     def back_edges(self) -> List[Tuple[int, int]]:
@@ -89,11 +102,11 @@ class SolutionGraph:
         return list(self.folds.items())
 
     def _depths(self) -> List[int]:
-        """Node id -> depth.  First children grow in ``children`` order and tile
+        """Node id -> depth.  First children grow in expansion order and tile
         ids ``1..N-1``: a node's children run up to the next expansion's first."""
         depths = [0]
-        ends = chain(islice(self.children.values(), 1, None), [len(self.labels)])
-        for nid, end in zip(self.children, ends):
+        ends = chain(islice(self.firsts, 1, None), [len(self.labels)])
+        for nid, end in zip(self.expanded, ends):
             depths += [depths[nid] + 1] * (end - len(depths))
         return depths
 
@@ -158,13 +171,14 @@ def build(
 
     # By equation list: [the node of the current path expanded with it or -1,
     # its first label (equal labels share that object, so a graph holds each
-    # label once), its narrowings, its child labels (None until expanded) and
-    # the offset of its first accepting child (-1 for none)].
-    table: Dict[Tuple[Equation, ...], list] = {root_label.equations: [-1, root_label, None, None, -1]}
+    # label once), its narrowings, its child labels (None until expanded), the
+    # offset of its first accepting child (-1 for none), that node's first child].
+    table: Dict[Tuple[Equation, ...], list] = {root_label.equations: [-1, root_label, None, None, -1, 0]}
     memo: dict = {}  # (equation, variable, target) -> pieces; see the rewrite module
     path: List[list] = []  # the entries of the expanded nodes on the current path
     best = budget.max_depth  # the depth of the expansion that made the witness's T-leaf, if any
-    children, folds = graph.children, graph.folds
+    folds = graph.folds
+    expanded, firsts = [], []  # the expansion log, in lists until the build ends
 
     stack = [0]  # node ids to enter, and -1 to leave the last node of the path
     while stack:
@@ -187,39 +201,46 @@ def build(
             halted = True
             reason = reason or "timeout"
             continue
+        narrowings = entry[2]
+        if narrowings is None:
+            narrowings = entry[2] = compatible_narrowings(label)
+        if not narrowings:  # a dead end: there is nothing to expand, at any depth
+            continue
         depth = len(path)  # a node is entered with exactly its expanded ancestors on the path
         if depth >= budget.max_depth:
             reason = reason or "max_depth"
             continue
-        # The budget is checked before anything is unfolded; a dead end adds
-        # no nodes, so it never exceeds it.
-        narrowings = entry[2]
-        if narrowings is None:
-            narrowings = entry[2] = compatible_narrowings(label)
+        # The budget is checked before anything is unfolded.
         first = len(labels)
         end = first + len(narrowings)
         if end > budget.max_nodes:
             halted = True
             reason = reason or "max_nodes"
             continue
-        if not narrowings:
-            continue
-        if entry[3] is None:
-            made = [step(label, n, scheme, memo) for n in narrowings]
-            entry[3] = [table.setdefault(c.equations, [-1, c, None, None, -1])[1] if c.equations else c for c in made]
+        made = entry[3]
+        if made is None:
+            made = entry[3] = []
+            for n in narrowings:
+                c = step(label, n, scheme, memo)
+                known = c.equations and table.get(c.equations)  # () for a leaf
+                if known is None:
+                    table[c.equations] = [-1, c, None, None, -1, 0]
+                made.append(known[1] if known else c)
             entry[4] = next((i for i, c in enumerate(made) if c is ACCEPTED), -1)
-        children[nid] = first
-        labels += entry[3]
-        entry[0] = nid
+        expanded.append(nid)
+        firsts.append(first)
+        labels += made
+        entry[0], entry[5] = nid, first
         path.append(entry)
         if entry[4] >= 0 and depth < best:
             # T-leaves are made in id order: the first at a depth has its least id.
             best, halted = depth, early_stop
-            steps = [parent[2][child[0] - children[parent[0]]] for parent, child in zip(path, path[1:])]
+            steps = [parent[2][child[0] - parent[5]] for parent, child in zip(path, path[1:])]
             graph.witness = (*steps, narrowings[entry[4]])
         stack.append(-1)
         stack.extend(range(end - 1, first - 1, -1))
 
+    graph.expanded, graph.firsts = array("l", expanded), array("l", firsts)
     return BuildOutcome(graph, reason)
 
 

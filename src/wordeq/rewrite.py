@@ -77,11 +77,17 @@ def reduce(e: Equation) -> Optional[Equation]:
     are killed by the counting check.
     """
     l, r = e
-    offsets = _strip(l, r, 0, 0)
-    if offsets is None:
+    a, nl, nr = 0, len(l), len(r)  # _strip's loops from 0, 0, inlined: every unfold step passes here
+    stop = nl if nl < nr else nr
+    while a < stop and l[a] == r[a]:
+        a += 1
+    while a < stop and l[nl - 1] == r[nr - 1]:
+        nl -= 1
+        nr -= 1
+        stop -= 1
+    if a < stop and ((l[a].isupper() and r[a].isupper()) or (l[nl - 1].isupper() and r[nr - 1].isupper())):
         return None
-    a, b = offsets
-    return _equation((l[a : len(l) - b], r[a : len(r) - b]))
+    return _equation((l[a:nl], r[a:nr]))
 
 
 def _split_scan(l: str, r: str, start: int, n: int) -> Optional[int]:
@@ -248,13 +254,20 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Option
     """
     if s.kind is not EQS:
         raise ValueError(f"cannot simplify a {s.kind.value} state")
-    if scheme is _BASE and len(s.equations) != 1:
+    equations = s.equations
+    if scheme is _BASE and len(equations) != 1:
         raise ValueError("the base scheme handles exactly one equation")
-    out: List[Equation] = []
     var, target = (n.var, n.target) if n is not None else ("", "")
     replacement = target + var if target else ""
-    new = {} if memo is not None and len(s.equations) > 1 else None
-    for eq in s.equations:
+    if len(equations) == 1:  # without a narrowing, var and replacement are "": no substitution
+        lhs, rhs = equations[0]
+        pieces = simplify_equation(scheme, _equation((lhs.replace(var, replacement), rhs.replace(var, replacement))))
+        if pieces is None:
+            return CONTRADICTION
+        return SystemState.of(pieces) if pieces else ACCEPTED
+    out: List[Equation] = []
+    new = {} if memo is not None else None
+    for eq in equations:
         if var not in eq.lhs and var not in eq.rhs:  # without a narrowing, var is "", in every word
             out.append(eq)
             continue
@@ -269,11 +282,7 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Option
         out.extend(pieces)
     if new:
         memo.update(new)
-    if not out:
-        return ACCEPTED
-    # skipping dict.fromkeys on one equation, which cannot repeat, saves a
-    # few per cent on one-equation builds
-    return SystemState.of(dict.fromkeys(out) if len(out) > 1 else out)
+    return SystemState.of(dict.fromkeys(out)) if out else ACCEPTED
 
 
 def simplify(scheme: Scheme, s: SystemState) -> SystemState:

@@ -3,9 +3,10 @@ Reference definitions that the tests check the library against.
 
 They are written the plain way the paper states them, not the fast way the
 library computes them: occurrence counts, the count check and var-permutation
-by counting, the split loop by slicing and re-reducing the remainder after
-every split, and bounded enumeration by a walk over fully composed values
-whose leaves are instantiated with every ground word within the value bound.
+by counting, reduction by dropping equal end terms one at a time, the split
+loop by slicing and re-reducing the remainder after every split, and bounded
+enumeration by a walk over fully composed values whose leaves are
+instantiated with every ground word within the value bound.
 The value of a variable under a program, the graph helpers (expanded nodes,
 the program of a given walk, the accepted programs of bounded walks, the
 shortest accepting walk by breadth-first search) and the oracle over a wider
@@ -34,7 +35,7 @@ from wordeq.core import (
 from wordeq.graph import SAT, UNKNOWN, UNSAT, Budget, BuildOutcome, Node, SolutionGraph
 from wordeq.narrow import compatible_narrowings, step
 from wordeq.oracle import brute_solutions
-from wordeq.rewrite import Scheme, reduce, simplify
+from wordeq.rewrite import Scheme, simplify
 from wordeq.solutions import Solution
 
 
@@ -107,6 +108,20 @@ def is_var_permutated(w1: Word, w2: Word) -> bool:
     if len(w1) != len(w2):
         return False
     return Counter(erase_letters(w1)) == Counter(erase_letters(w2))
+
+
+def reduce(e: Equation) -> Optional[Equation]:
+    """Drop the first terms of both sides while they are equal, then the last
+    terms; ``None`` when what is left has two nonempty sides that start, or
+    end, with two distinct letters."""
+    l, r = e
+    while l and r and l[0] == r[0]:
+        l, r = l[1:], r[1:]
+    while l and r and l[-1] == r[-1]:
+        l, r = l[:-1], r[:-1]
+    if l and r and ((l[0].isupper() and r[0].isupper()) or (l[-1].isupper() and r[-1].isupper())):
+        return None
+    return Equation(l, r)
 
 
 def split_scan(l: str, r: str, exclude_full: bool) -> Optional[int]:
@@ -342,8 +357,8 @@ def build(
     early_stop: bool = False,
 ) -> Tuple[BuildOutcome, List[Node]]:
     """Build the (partial) solution graph of an equation system, and the
-    loop's own list of its nodes, depths included; the graph gets only the
-    labels.
+    loop's own list of its nodes, depths included; the graph gets the
+    labels, not the depths.
 
     The root is the simplified input; expansion is depth first, children
     in narrowing order, so node numbering and the serialized graph are
@@ -390,22 +405,23 @@ def build(
             halted = True
             reason = reason or "timeout"
             continue
+        expansion = expansions.get(label)
+        narrowings = compatible_narrowings(label) if expansion is None else expansion
+        if not narrowings:  # a dead end has nothing to expand, so no limit stops it
+            continue
         if node.depth >= budget.max_depth:
             reason = reason or "max_depth"
             continue
-        # The budget is checked before anything is unfolded; a dead end adds
-        # no nodes, so it never exceeds it.
-        expansion = expansions.get(label)
-        narrowings = compatible_narrowings(label) if expansion is None else expansion
+        # The budget is checked before anything is unfolded.
         if len(nodes) + len(narrowings) > budget.max_nodes:
             halted = True
             reason = reason or "max_nodes"
             continue
         if expansion is None:
             expansion = expansions[label] = [(n, step(label, n, scheme)) for n in narrowings]
-        if not expansion:
-            continue
-        graph.children[node.id] = first = len(nodes)
+        first = len(nodes)
+        graph.expanded.append(node.id)
+        graph.firsts.append(first)
         for n, child_label in expansion:
             nodes.append(Node(len(nodes), child_label, node.depth + 1))
             graph.labels.append(child_label)

@@ -1,5 +1,6 @@
 import random
 import sys
+from array import array
 
 import pytest
 
@@ -371,6 +372,36 @@ def test_max_depth_budget():
     assert not outcome.complete
     assert outcome.reason == "max_depth"
     assert verdict(outcome) == UNKNOWN
+
+
+def test_dead_end_at_the_depth_limit_completes():
+    # the root's one child, `B =`, is a dead end: it has nothing to expand,
+    # so the depth limit does not cut it off
+    outcome = build(parse_system("x B ="), Scheme.BASE, Budget(max_depth=1))
+    assert verdict(outcome) == UNSAT and outcome.complete
+    assert len(outcome.graph.labels) == 2
+
+
+def test_graph_keeps_an_expansion_log():
+    # the expanded nodes and their first children, in expansion order, as two
+    # int arrays; ``children`` is a read-only view derived from them, new on
+    # each read, and ``out_edges`` agrees with the tree and back edges at
+    # every node
+    outcome = build(parse_system("x x A y B z = A x x z y"), Scheme.BASE, Budget(max_nodes=3000))
+    g = outcome.graph
+    assert len(g.labels) > 2000 and len(g.back_edges) > 500
+    for log in (g.expanded, g.firsts):
+        assert type(log) is array and log.typecode == "l"
+    assert g.children is not g.children
+    with pytest.raises(TypeError):
+        g.children[0] = 1
+    assert list(g.children.items()) == list(zip(g.expanded, g.firsts))
+    edges = {}
+    for src, n, dst in g.tree_edges:
+        edges.setdefault(src, []).append((n, dst))
+    for src, dst in g.back_edges:
+        edges.setdefault(src, []).append((None, dst))
+    assert all(g.out_edges(nid) == edges.get(nid, []) for nid in range(len(g.labels)))
 
 
 def test_graph_stores_labels_and_derives_nodes():

@@ -1,8 +1,8 @@
-"""Property tests of the split loop, of the count check, of duplicate-free
-labels, of unfolds with and without an equation memo, of graph edges
-against the unfold step, of builds against the reference build, of
-witnesses against a breadth-first walk, of bounded enumeration, and of
-verdicts against witnesses and the oracle."""
+"""Property tests of reduction, of the split loop, of one-equation unfolds,
+of the count check, of duplicate-free labels, of unfolds with and without
+an equation memo, of graph edges against the unfold step, of builds against
+the reference build, of witnesses against a breadth-first walk, of bounded
+enumeration, and of verdicts against witnesses and the oracle."""
 
 from unittest.mock import patch
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference
 from wordeq import solutions
-from wordeq.core import Equation, SystemState, letter_count
+from wordeq.core import ACCEPTED, CONTRADICTION, Equation, SystemState, letter_count
 from wordeq.graph import SAT, UNSAT, Budget, Node, build, verdict
 from wordeq.narrow import compatible_narrowings, step
 from wordeq.oracle import brute_solutions, satisfies, system_variables
@@ -109,6 +109,44 @@ def test_one_pass_split_loop_equals_reference(e):
 def test_split_loop_equals_reference_on_long_sparse_equations(e):
     # long stretches of variables between letters, and long runs of one piece
     check_split_loop(e)
+
+
+@SETTINGS
+@given(st.one_of(st.builds(lambda p, e, q: E(p + e.lhs + q, p + e.rhs + q), WORDS, EQUATIONS, WORDS), LONG_EQUATIONS))
+def test_reduce_equals_reference(e):
+    # common ends of any length around any equation, then long sides
+    assert reduce(e) == reference.reduce(e)
+
+
+def plain_unfold(scheme: Scheme, s: SystemState, n) -> SystemState:
+    """The label a one-equation ``s`` unfolds to by the narrowing ``n``, or
+    with ``n`` None simplifies to, by the reference definitions alone."""
+    if n is not None:
+        s = reference.apply_to_state(n, s)
+    (e,) = s.equations
+    e = reference.reduce(e)
+    pieces = None if e is None else [e] if scheme is Scheme.BASE else reference.split_pieces(scheme, e)
+    if pieces is None:
+        return CONTRADICTION
+    pieces = list(dict.fromkeys(p for p in pieces if p != E("", "")))
+    if scheme is Scheme.COUNT and any(reference.count_unsat(p) for p in pieces):
+        return CONTRADICTION
+    return SystemState.of(pieces) if pieces else ACCEPTED
+
+
+@SETTINGS
+@given(EQUATIONS)
+def test_one_equation_unfold_equals_reference(e):
+    # A one-equation label takes a branch of its own in ``_unfold``; check it,
+    # at the root and at each narrowing of a one-equation root label, against
+    # substitution, reduction, the split loop and the count check.
+    for scheme in Scheme:
+        root = SystemState.of([e])
+        label = plain_unfold(scheme, root, None)
+        assert _unfold(scheme, root, None) == label
+        if label.is_eqs and len(label.equations) == 1:
+            for n in reference.compatible_narrowings(label):
+                assert _unfold(scheme, label, n) == plain_unfold(scheme, label, n), (scheme, label, n)
 
 
 LONG_WORDS = st.text("ABxyz", max_size=200)
