@@ -20,7 +20,7 @@ each; its children are consecutive ids in narrowing order), ``folds`` (a
 folded node's target) and ``witness``: the program of the tree path to the
 T-leaf of least ``(depth, id)``, recorded by the build when it makes that
 leaf.  ``nodes``, the ``Node(id, label, depth)`` list, is derived from the
-log on each read; ``children`` views a map made from it once.
+log on each read.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, count, islice
-from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import ACCEPTED, Equation, Narrowing, Program, SystemState
 from .narrow import compatible_narrowings, step
@@ -74,11 +73,6 @@ class SolutionGraph:
     @cached_property
     def _first_child(self) -> Dict[int, int]:  # made once: callers call out_edges per node
         return dict(zip(self.expanded, self.firsts))
-
-    @property
-    def children(self) -> Mapping[int, int]:
-        """Expanded node -> first child, in expansion order; a read-only view."""
-        return MappingProxyType(self._first_child)
 
     def out_edges(self, nid: int) -> List[Tuple[Optional[Narrowing], int]]:
         """A node's tree edges ``(narrowing, child)`` in narrowing order, or a

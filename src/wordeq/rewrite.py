@@ -13,7 +13,8 @@ A build passes that step a memo it drops on return, mapping ``(equation,
 variable, target)`` to the substituted equation's pieces, ``None`` for a
 contradiction.  Keys hold the parent's equation, so no substituted word is
 kept; a contradiction writes only its own key, so no discarded label's
-pieces are; one-equation labels, each unfolded once per build, skip it.
+pieces are.  One-equation labels, each unfolded once per build, skip it;
+other unfolds without one (the root's, ``verify``'s) use a throwaway one.
 """
 
 from __future__ import annotations
@@ -250,7 +251,8 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Option
     copy of each equation, so a label holds each equation once; the first
     equation, which picks the narrowings, is never dropped.  Any contradiction
     discards the whole list and yields the contradiction state; an empty
-    final list is accepted.  ``memo`` is a build's equation memo.
+    final list is accepted.  ``memo`` is a build's equation memo; several
+    equations unfolded without one go through a throwaway memo.
     """
     if s.kind is not EQS:
         raise ValueError(f"cannot simplify a {s.kind.value} state")
@@ -265,23 +267,22 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Option
         if pieces is None:
             return CONTRADICTION
         return SystemState.of(pieces) if pieces else ACCEPTED
+    memo = {} if memo is None else memo
     out: List[Equation] = []
-    new = {} if memo is not None else None
+    new: dict = {}  # a contradiction's key goes in the memo at once, the others on success
     for eq in equations:
         if var not in eq.lhs and var not in eq.rhs:  # without a narrowing, var is "", in every word
             out.append(eq)
             continue
-        pieces = memo.get(key := (eq, var, target), False) if new is not None else False
+        pieces = memo.get(key := (eq, var, target), False)
         if pieces is False:
             eq = _equation((eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement)))
             pieces = simplify_equation(scheme, eq)
-            if new is not None:  # a contradiction's key goes in at once, the others on success
-                (new if pieces is not None else memo)[key] = pieces
+            (new if pieces is not None else memo)[key] = pieces
         if pieces is None:
             return CONTRADICTION
         out.extend(pieces)
-    if new:
-        memo.update(new)
+    memo.update(new)
     return SystemState.of(dict.fromkeys(out)) if out else ACCEPTED
 
 

@@ -139,14 +139,15 @@ def test_back_edges_target_ancestors():
                 seen.append(nid)
             assert dst in seen, "fold target must be a proper ancestor"
         folds = dict(g.back_edges)
-        assert folds == g.folds and not folds.keys() & g.children.keys()
+        first_child = dict(zip(g.expanded, g.firsts))
+        assert folds == g.folds and not folds.keys() & first_child.keys()
         for src in range(len(nodes)):
             out = g.out_edges(src)
             if src in folds:
                 assert out == [(None, folds[src])]
-            elif src in g.children:  # consecutive children from the first one
+            elif src in first_child:  # consecutive children from the first one
                 assert out and all(isinstance(n, Narrowing) for n, _ in out)
-                assert [dst for _, dst in out] == list(range(g.children[src], g.children[src] + len(out)))
+                assert [dst for _, dst in out] == list(range(first_child[src], first_child[src] + len(out)))
             else:
                 assert out == []
         assert len(g.tree_edges) + len(g.back_edges) == sum(len(g.out_edges(n.id)) for n in nodes)
@@ -384,18 +385,13 @@ def test_dead_end_at_the_depth_limit_completes():
 
 def test_graph_keeps_an_expansion_log():
     # the expanded nodes and their first children, in expansion order, as two
-    # int arrays; ``children`` is a read-only view derived from them, new on
-    # each read, and ``out_edges`` agrees with the tree and back edges at
+    # int arrays, and ``out_edges`` agrees with the tree and back edges at
     # every node
     outcome = build(parse_system("x x A y B z = A x x z y"), Scheme.BASE, Budget(max_nodes=3000))
     g = outcome.graph
     assert len(g.labels) > 2000 and len(g.back_edges) > 500
     for log in (g.expanded, g.firsts):
         assert type(log) is array and log.typecode == "l"
-    assert g.children is not g.children
-    with pytest.raises(TypeError):
-        g.children[0] = 1
-    assert list(g.children.items()) == list(zip(g.expanded, g.firsts))
     edges = {}
     for src, n, dst in g.tree_edges:
         edges.setdefault(src, []).append((n, dst))
