@@ -7,7 +7,10 @@ a single equation), ``SPLIT`` additionally splits every equation on its
 shortest var-permutated prefixes, and ``COUNT`` also splits the remainder
 on var-permutated suffixes and then applies the counting check to every
 resulting equation.  One per-equation loop serves both the root
-simplification and the unfold step of ``narrow.step``.
+simplification and the unfold step of ``narrow.step``.  The split scan and
+the count check read long words only through C-level ``str`` operations
+(``in``, ``count``, ``startswith``, ``translate``), one variable of ``a``-``z``
+at a time, and build no set of a word's terms.
 
 A build passes that step a memo it drops on return, mapping ``(equation,
 variable, target)`` to the substituted equation's pieces, ``None`` for a
@@ -29,7 +32,7 @@ from .core import (
     CONTRADICTION,
     EMPTY_EQUATION,
     EQS,
-    LETTERS,
+    VARIABLES,
     Equation,
     Narrowing,
     SystemState,
@@ -45,6 +48,7 @@ class Scheme(Enum):
 
 _BASE, _COUNT = Scheme.BASE, Scheme.COUNT  # a member read through the class costs ten times a global's
 _LETTER = re.compile("[A-Z]")
+_VARIABLES = "".join(sorted(VARIABLES))  # tested one by one: a word's set of terms costs more
 # Positions the split scan reads one by one before it looks for a stretch of
 # variables to skip; looking after every position slows the short scans.
 _SCAN_WINDOW = 16
@@ -104,8 +108,11 @@ def _split_scan(l: str, r: str, start: int, n: int) -> Optional[int]:
     many letters, so no split ends where the letters read so far differ.
     The scan reads ``_SCAN_WINDOW`` positions at a time; after each window
     in which the letters read differ, it skips the stretch of variables on
-    both sides that follows, adding the stretch's variables to the counts
-    at once, up to the next letter.
+    both sides that follows, up to the next letter.  The stretch enters the
+    counts one variable at a time: for each variable that occurs in ``l``
+    or ``r``, its ``str.count`` over the stretch on the left less that on
+    the right.  ``_split_pieces`` passes no ``n`` below 2, as a one-term
+    window never splits.
     """
     delta: dict = {}
     mismatched = 0
@@ -141,8 +148,9 @@ def _split_scan(l: str, r: str, start: int, n: int) -> Optional[int]:
             found = _LETTER.search(r, k, j)
             if found:
                 j = found.start()
-            for x in set(l[k:j]).union(r[k:j]):
-                delta[x] = delta.get(x, 0) + l.count(x, k, j) - r.count(x, k, j)
+            for x in _VARIABLES:
+                if (x in l or x in r) and (d := l.count(x, k, j) - r.count(x, k, j)):
+                    delta[x] = delta.get(x, 0) + d
             mismatched = len(delta) - list(delta.values()).count(0)
             k = j
 
@@ -161,6 +169,10 @@ def _split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
     moves the offsets and slices each piece once.  Right splits scan the
     reversed words from offset ``b``.
 
+    No window of one term is scanned: its terms are the first (or last)
+    ones of ``e`` or of a remainder ``_strip`` just reduced, so they differ
+    and are not both letters.  When nothing splits, ``[e]`` is returned.
+
     ``b`` stays 0 through the left splits, as the last terms of ``e``
     differ.  Once the remainder has no left split, cutting a suffix off it
     leaves it without one, so the right splits need no left split retried
@@ -176,7 +188,7 @@ def _split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
     prefixes: List[Equation] = []
     suffixes: List[Equation] = []
     a = b = 0
-    while a < m and (k := _split_scan(l, r, a, m - a)) is not None:
+    while a + 1 < m and (k := _split_scan(l, r, a, m - a)) is not None:
         pl, pr = l[a : a + k], r[a : a + k]
         prefixes.append(Equation(pl, pr))
         a += k
@@ -194,29 +206,37 @@ def _split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
         if offsets is None:
             return None
         a, b = offsets
-    if scheme is _COUNT and a < m:
+    if scheme is _COUNT and a + 1 < m:
         rl, rr = l[::-1], r[::-1]
-        while a + b < m and (k := _split_scan(rl, rr, b, m - a - b)) is not None:
+        while a + b + 1 < m and (k := _split_scan(rl, rr, b, m - a - b)) is not None:
             suffixes.append(Equation(l[nl - b - k : nl - b], r[nr - b - k : nr - b]))
             b += k
             offsets = _strip(l, r, a, b)
             if offsets is None:
                 return None
             a, b = offsets
+    if not prefixes and not suffixes:
+        return [e]
     return list(dict.fromkeys([Equation(l[a : nl - b], r[a : nr - b])] + suffixes + prefixes))
 
 
 def count_unsat(e: Equation) -> bool:
     """Occurrence-counting unsatisfiability test: one side has strictly more
     letters and at least as many occurrences of every variable, so it is
-    longer than the other under every substitution."""
+    longer than the other under every substitution.
+
+    The variables of the side with fewer letters are found by testing each
+    of ``a``-``z`` with ``in``, and only those are counted on both sides."""
     phi, psi = e
     surplus = letter_count(phi) - letter_count(psi)
     if surplus == 0:
         return False
     if surplus < 0:
         phi, psi = psi, phi
-    return all(phi.count(x) >= psi.count(x) for x in set(psi) - LETTERS)
+    for x in _VARIABLES:
+        if x in psi and phi.count(x) < psi.count(x):
+            return False
+    return True
 
 
 def simplify_equation(scheme: Scheme, eq: Equation) -> Optional[List[Equation]]:
@@ -236,8 +256,10 @@ def simplify_equation(scheme: Scheme, eq: Equation) -> Optional[List[Equation]]:
     if pieces is None:
         return None
     pieces = [p for p in pieces if p != EMPTY_EQUATION]
-    if scheme is _COUNT and any(count_unsat(p) for p in pieces):
-        return None
+    if scheme is _COUNT:
+        for p in pieces:
+            if count_unsat(p):
+                return None
     return pieces
 
 

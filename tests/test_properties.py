@@ -1,9 +1,12 @@
 """Property tests of reduction, of the split loop, of one-equation unfolds,
-of the count check, of duplicate-free labels, of unfolds with and without
-an equation memo, of graph edges against the unfold step, of builds against
-the reference build, of witnesses against a breadth-first walk, of bounded
-enumeration, and of verdicts against witnesses and the oracle."""
+of the count check (these four over ``ABxyz``, and again with the terms
+renamed onto all of ``a``-``z`` and ``A``-``Z``), of duplicate-free labels,
+of unfolds with and without an equation memo, of graph edges against the
+unfold step, of builds against the reference build, of witnesses against a
+breadth-first walk, of bounded enumeration, and of verdicts against
+witnesses and the oracle."""
 
+from string import ascii_lowercase, ascii_uppercase
 from unittest.mock import patch
 
 from hypothesis import assume, example, given, settings
@@ -87,6 +90,18 @@ LONG_EQUATIONS = st.one_of(
 )
 
 
+@st.composite
+def renamed(draw, equations):
+    """An equation of ``equations`` with its variables renamed injectively
+    onto random ones of ``a``-``z`` and its letters onto random ones of
+    ``A``-``Z``: the kernels must treat every term alike, not only ``ABxyz``."""
+    e = draw(equations)
+    variables = "".join(draw(st.permutations(ascii_lowercase)))
+    letters = "".join(draw(st.permutations(ascii_uppercase)))
+    table = str.maketrans(ascii_lowercase + ascii_uppercase, variables + letters)
+    return E(e.lhs.translate(table), e.rhs.translate(table))
+
+
 def check_split_loop(e: Equation) -> None:
     e = reduce(e)
     if e is None:
@@ -112,9 +127,24 @@ def test_split_loop_equals_reference_on_long_sparse_equations(e):
 
 
 @SETTINGS
-@given(st.one_of(st.builds(lambda p, e, q: E(p + e.lhs + q, p + e.rhs + q), WORDS, EQUATIONS, WORDS), LONG_EQUATIONS))
+@given(renamed(st.one_of(EQUATIONS, LONG_EQUATIONS)))
+def test_split_loop_equals_reference_over_all_terms(e):
+    check_split_loop(e)
+
+
+# common ends of any length around any equation, then long sides
+REDUCE_EQUATIONS = st.one_of(st.builds(lambda p, e, q: E(p + e.lhs + q, p + e.rhs + q), WORDS, EQUATIONS, WORDS), LONG_EQUATIONS)
+
+
+@SETTINGS
+@given(REDUCE_EQUATIONS)
 def test_reduce_equals_reference(e):
-    # common ends of any length around any equation, then long sides
+    assert reduce(e) == reference.reduce(e)
+
+
+@SETTINGS
+@given(renamed(REDUCE_EQUATIONS))
+def test_reduce_equals_reference_over_all_terms(e):
     assert reduce(e) == reference.reduce(e)
 
 
@@ -134,12 +164,10 @@ def plain_unfold(scheme: Scheme, s: SystemState, n) -> SystemState:
     return SystemState.of(pieces) if pieces else ACCEPTED
 
 
-@SETTINGS
-@given(EQUATIONS)
-def test_one_equation_unfold_equals_reference(e):
-    # A one-equation label takes a branch of its own in ``_unfold``; check it,
-    # at the root and at each narrowing of a one-equation root label, against
-    # substitution, reduction, the split loop and the count check.
+def check_one_equation_unfold(e: Equation) -> None:
+    """A one-equation label takes a branch of its own in ``_unfold``; check it,
+    at the root and at each narrowing of a one-equation root label, against
+    substitution, reduction, the split loop and the count check."""
     for scheme in Scheme:
         root = SystemState.of([e])
         label = plain_unfold(scheme, root, None)
@@ -149,14 +177,36 @@ def test_one_equation_unfold_equals_reference(e):
                 assert _unfold(scheme, label, n) == plain_unfold(scheme, label, n), (scheme, label, n)
 
 
-LONG_WORDS = st.text("ABxyz", max_size=200)
+@SETTINGS
+@given(EQUATIONS)
+def test_one_equation_unfold_equals_reference(e):
+    check_one_equation_unfold(e)
 
 
 @SETTINGS
-@given(LONG_WORDS, LONG_WORDS)
-def test_count_check_equals_reference(lhs, rhs):
-    assert letter_count(lhs) == reference.letter_count(lhs)
-    assert count_unsat(E(lhs, rhs)) == reference.count_unsat(E(lhs, rhs))
+@given(renamed(EQUATIONS))
+def test_one_equation_unfold_equals_reference_over_all_terms(e):
+    check_one_equation_unfold(e)
+
+
+LONG_WORDS = st.text("ABxyz", max_size=200)
+
+
+def check_count_check(e: Equation) -> None:
+    assert letter_count(e.lhs) == reference.letter_count(e.lhs)
+    assert count_unsat(e) == reference.count_unsat(e)
+
+
+@SETTINGS
+@given(st.builds(E, LONG_WORDS, LONG_WORDS))
+def test_count_check_equals_reference(e):
+    check_count_check(e)
+
+
+@SETTINGS
+@given(renamed(st.builds(E, LONG_WORDS, LONG_WORDS)))
+def test_count_check_equals_reference_over_all_terms(e):
+    check_count_check(e)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

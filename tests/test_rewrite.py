@@ -4,7 +4,9 @@ import pytest
 
 from wordeq import rewrite
 from wordeq.core import ACCEPTED, CONTRADICTION, Equation, SystemState, eps, prepend_letter
+from wordeq.graph import Budget, build
 from wordeq.oracle import system_variables
+from wordeq.parse import parse_system
 from wordeq.rewrite import (
     Scheme,
     _unfold,
@@ -13,7 +15,7 @@ from wordeq.rewrite import (
     simplify,
     simplify_equation,
 )
-from reference import brute_solutions_over, is_var_permutated, left_split, right_split
+from reference import brute_solutions_over, is_var_permutated, left_split, right_split, split_pieces
 
 E = Equation
 
@@ -109,6 +111,43 @@ def test_repeated_pieces_are_scanned_once(monkeypatch):
         calls.clear()
         assert simplify_equation(scheme, E("xz" * 300, "zx" * 300)) == [E("xz", "zx")]
         assert len(calls) <= 2, scheme
+
+
+# the systems of the long_labels benchmark workload
+LONG_LABEL_SYSTEMS = [
+    "x B x = A y x x y y",
+    "z A B = x z x z\nx A A x x = A A x B",
+    "x z A z y y = A B z A A",
+    "x A z B z x = z x y B A\nx z A B = z z",
+]
+
+
+def test_no_one_term_window_is_scanned(monkeypatch):
+    # A one-term window holds the first (or last) terms of a remainder that
+    # was just reduced: they differ and are not both letters, so it never
+    # splits.  The graphs are those of the reference split loop, which tries
+    # every prefix length.
+    def reference_pieces(scheme, e):
+        pieces = split_pieces(scheme, e)
+        return None if pieces is None else list(dict.fromkeys(pieces))
+
+    def graph(system, scheme):
+        g = build(system, scheme, Budget(max_nodes=300)).graph
+        return g.labels, g.expanded, g.firsts, g.folds, g.witness
+
+    calls = []
+    scan = rewrite._split_scan
+    for text in LONG_LABEL_SYSTEMS:
+        system = parse_system(text)
+        for scheme in (Scheme.SPLIT, Scheme.COUNT):
+            with monkeypatch.context() as m:
+                m.setattr(rewrite, "_split_pieces", reference_pieces)
+                want = graph(system, scheme)
+            with monkeypatch.context() as m:
+                m.setattr(rewrite, "_split_scan", lambda *args: calls.append(args) or scan(*args))
+                assert graph(system, scheme) == want, (text, scheme)
+    assert len(calls) > 1000
+    assert all(n >= 2 for _, _, _, n in calls)
 
 
 def test_contradiction_leaves_only_its_key_in_the_memo():
