@@ -10,7 +10,11 @@ resulting equation.  One per-equation loop serves both the root
 simplification and the unfold step of ``narrow.step``.  The split scan and
 the count check read long words only through C-level ``str`` operations
 (``in``, ``count``, ``startswith``, ``translate``), one variable of ``a``-``z``
-at a time, and build no set of a word's terms.
+at a time, and build no set of a word's terms.  Three shortcuts read only
+first terms and lengths: a scan whose first terms are a letter and a
+variable looks for a stretch to skip after one position, an equation whose
+first split spans both whole sides is returned as its own piece, and the
+count check refutes no equation with sides of equal length.
 
 A build passes that step a memo it drops on return, mapping ``(equation,
 variable, target)`` to the substituted equation's pieces, ``None`` for a
@@ -108,18 +112,21 @@ def _split_scan(l: str, r: str, start: int, n: int) -> Optional[int]:
     many letters, so no split ends where the letters read so far differ.
     The scan reads ``_SCAN_WINDOW`` positions at a time; after each window
     in which the letters read differ, it skips the stretch of variables on
-    both sides that follows, up to the next letter.  The stretch enters the
-    counts one variable at a time: for each variable that occurs in ``l``
-    or ``r``, its ``str.count`` over the stretch on the left less that on
-    the right.  ``_split_pieces`` passes no ``n`` below 2, as a one-term
-    window never splits.
+    both sides that follows, up to the next letter.  When the first terms
+    are a letter and a variable, the letters read differ from the first
+    position on, so the first window is that one position.  The stretch
+    enters the counts one variable at a time: for each variable that occurs
+    in ``l`` or ``r``, its ``str.count`` over the stretch on the left less
+    that on the right.  ``_split_pieces`` passes no ``n`` below 2, as a
+    one-term window never splits.
     """
     delta: dict = {}
     mismatched = 0
     stop = start + n
     k = start
+    # a letter against a variable: the letters read differ from the first position on
+    end = k + 1 if l[k].isupper() != r[k].isupper() else k + _SCAN_WINDOW
     while True:
-        end = k + _SCAN_WINDOW
         for k in range(k, end if end < stop else stop):
             a, b = l[k], r[k]
             if a.islower():
@@ -153,6 +160,7 @@ def _split_scan(l: str, r: str, start: int, n: int) -> Optional[int]:
                     delta[x] = delta.get(x, 0) + d
             mismatched = len(delta) - list(delta.values()).count(0)
             k = j
+        end = k + _SCAN_WINDOW
 
 
 def _split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
@@ -172,6 +180,8 @@ def _split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
     No window of one term is scanned: its terms are the first (or last)
     ones of ``e`` or of a remainder ``_strip`` just reduced, so they differ
     and are not both letters.  When nothing splits, ``[e]`` is returned.
+    When the first scan splits ``e`` off whole, ``[EMPTY_EQUATION, e]`` is
+    returned at once: the trivial remainder, then ``e`` as a prefix.
 
     ``b`` stays 0 through the left splits, as the last terms of ``e``
     differ.  Once the remainder has no left split, cutting a suffix off it
@@ -189,6 +199,8 @@ def _split_pieces(scheme: Scheme, e: Equation) -> Optional[List[Equation]]:
     suffixes: List[Equation] = []
     a = b = 0
     while a + 1 < m and (k := _split_scan(l, r, a, m - a)) is not None:
+        if k == nl == nr:  # only the first scan reaches the ends: e splits off whole
+            return [EMPTY_EQUATION, e]
         pl, pr = l[a : a + k], r[a : a + k]
         prefixes.append(Equation(pl, pr))
         a += k
@@ -225,9 +237,14 @@ def count_unsat(e: Equation) -> bool:
     letters and at least as many occurrences of every variable, so it is
     longer than the other under every substitution.
 
-    The variables of the side with fewer letters are found by testing each
-    of ``a``-``z`` with ``in``, and only those are counted on both sides."""
+    Sides of equal length are never refuted: the side with more letters
+    holds fewer variable occurrences, so some variable occurs less often on
+    it.  The check returns there before it counts letters.  Otherwise the
+    variables of the side with fewer letters are found by testing each of
+    ``a``-``z`` with ``in``, and only those are counted on both sides."""
     phi, psi = e
+    if len(phi) == len(psi):  # more letters on one side leave it fewer variable occurrences
+        return False
     surplus = letter_count(phi) - letter_count(psi)
     if surplus == 0:
         return False

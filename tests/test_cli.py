@@ -1,8 +1,12 @@
 import csv
+import io
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordeq import cli, oracle
 from wordeq.cli import main
@@ -323,6 +327,84 @@ def test_bench_without_eq_files_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: no .eq files in {d}\n"
+
+
+def _mostly(good, bad):
+    """Values of ``good``, and one time in eight one of ``bad``."""
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else good)
+
+
+SIDES = st.text("ABxyz", max_size=6)
+EQ_TEXTS = _mostly(
+    st.lists(st.tuples(SIDES, SIDES), min_size=1, max_size=3).map(
+        lambda eqs: "\n".join(" ".join([*lhs, "=", *rhs]) for lhs, rhs in eqs)),
+    st.text(st.sampled_from("ABxyz =#\n\t$\u00e9"), max_size=30),
+)
+NAR_TEXTS = _mostly(
+    st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from(["", "A", "B", "x", "y", "z"])), max_size=4).map(
+        lambda steps: "\n".join(f"{v} -> {t} {v}" if t else f"{v} ->" for v, t in steps)),
+    st.text(st.sampled_from("ABxyz ->#\n$"), max_size=30),
+)
+# every well-formed --max-nodes is at most 200 and every --timeout-ms at most
+# 200 ms; the other values are ill-formed, zero, negative, NaN or huge
+MAX_NODES = _mostly(st.integers(1, 200).map(str), st.sampled_from(["-2", "0", "nan", "ten", "1e9", ""]))
+TIMEOUTS = _mostly(st.floats(0, 200).map(repr), st.one_of(st.floats(-1e9, -1e-9).map(repr),
+                                                           st.sampled_from(["nan", "-inf", "soon"])))
+DEPTHS = _mostly(st.integers(1, 10**18).map(str), st.sampled_from(["-2", "0", "deep"]))
+SCHEMES = _mostly(st.sampled_from(["base", "split", "count"]), st.just("bogus"))
+ALPHABETS = _mostly(st.text("ABZ", min_size=1, max_size=3), st.sampled_from(["", "a", "A1"]))
+BOUNDS = _mostly(st.integers(0, 3), st.integers(-2, -1)).map(str)
+
+
+def _optional(draw, name, values):
+    return [name, draw(values)] if draw(st.booleans()) else []
+
+
+def _flag(draw, name):
+    return [name] if draw(st.booleans()) else []
+
+
+def _build_flags(draw):
+    return ["--max-nodes", draw(MAX_NODES), *_optional(draw, "--timeout-ms", TIMEOUTS),
+            *_optional(draw, "--max-depth", DEPTHS), *_optional(draw, "--scheme", SCHEMES),
+            *_flag(draw, "--early-stop")]
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert code != 3 or "error" in err, (argv, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(EQ_TEXTS, NAR_TEXTS, st.data())
+def test_cli_contract_on_random_input_and_flags(tmp_path_factory, eq_text, nar_text, data):
+    # every command answers with an exit code in 0-3, a message on 3 and no
+    # escaping exception, whatever the input text and flags
+    draw = data.draw
+    tmp = tmp_path_factory.getbasetemp() / "contract"  # one directory for every example
+    suite = tmp / "suite"
+    suite.mkdir(parents=True, exist_ok=True)
+    eq = write(suite, "in.eq", eq_text)
+    nar = write(tmp, "in.nar", nar_text)
+    dot_output = draw(st.sampled_from([[], ["-o", str(tmp / "out.dot")], ["-o", str(tmp)]]))
+    for argv in (
+        ["solve", eq, *_build_flags(draw)],
+        ["enumerate", eq, *_build_flags(draw), "--max-len", draw(BOUNDS),
+         "--max-path", str(4 * int(draw(BOUNDS))), *_optional(draw, "--alphabet", ALPHABETS)],
+        ["verify", eq, nar, *_optional(draw, "--scheme", SCHEMES)],
+        ["dot", eq, *_build_flags(draw), *_flag(draw, "--prune"), *dot_output],
+        ["oracle", eq, "--max-len", draw(BOUNDS), *_optional(draw, "--alphabet", ALPHABETS)],
+        ["bench", str(suite), *_build_flags(draw), *_optional(draw, "--csv", st.just(str(tmp / "out.csv")))],
+    ):
+        _run_cli(argv)
 
 
 def _family_pattern_shuffled(rng):

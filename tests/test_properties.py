@@ -1,10 +1,11 @@
 """Property tests of reduction, of the split loop, of one-equation unfolds,
 of the count check (these four over ``ABxyz``, and again with the terms
-renamed onto all of ``a``-``z`` and ``A``-``Z``), of duplicate-free labels,
-of unfolds with and without an equation memo, of graph edges against the
-unfold step, of builds against the reference build, of witnesses against a
-breadth-first walk, of bounded enumeration, and of verdicts against
-witnesses and the oracle."""
+renamed onto all of ``a``-``z`` and ``A``-``Z``), of the count check on
+equal-length sides, of split scans that start with a letter against a
+variable, of duplicate-free labels, of unfolds with and without an
+equation memo, of graph edges against the unfold step, of builds against
+the reference build, of witnesses against a breadth-first walk, of bounded
+enumeration, and of verdicts against witnesses and the oracle."""
 
 from string import ascii_lowercase, ascii_uppercase
 from unittest.mock import patch
@@ -13,12 +14,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from wordeq import solutions
+from wordeq import rewrite, solutions
 from wordeq.core import ACCEPTED, CONTRADICTION, Equation, SystemState, letter_count
 from wordeq.graph import SAT, UNSAT, Budget, Node, build, verdict
 from wordeq.narrow import compatible_narrowings, step
 from wordeq.oracle import brute_solutions, satisfies, system_variables
-from wordeq.rewrite import Scheme, _split_pieces, _unfold, count_unsat, reduce, simplify, simplify_equation
+from wordeq.rewrite import Scheme, _split_pieces, _split_scan, _unfold, count_unsat, reduce, simplify, simplify_equation
 from wordeq.solutions import enumerate_solutions, min_witness
 from wordeq.witness import verify
 
@@ -207,6 +208,44 @@ def test_count_check_equals_reference(e):
 @given(renamed(st.builds(E, LONG_WORDS, LONG_WORDS)))
 def test_count_check_equals_reference_over_all_terms(e):
     check_count_check(e)
+
+
+@st.composite
+def equal_length_equations(draw):
+    """Two sides of one drawn length up to 200."""
+    n = draw(st.integers(0, 200))
+    side = st.text("ABxyz", min_size=n, max_size=n)
+    return E(draw(side), draw(side))
+
+
+@SETTINGS
+@given(renamed(equal_length_equations()))
+def test_count_check_refutes_no_equal_length_sides(e):
+    # the side with more letters holds fewer variable occurrences, so some
+    # variable occurs less often on it: the check returns before counting
+    assert not reference.count_unsat(e)
+    with patch.object(rewrite, "letter_count", wraps=letter_count) as counted:
+        assert count_unsat(e) is False
+    assert counted.call_count == 0
+
+
+@st.composite
+def letter_against_variable(draw):
+    """An equation of ``EQUATIONS`` or ``LONG_EQUATIONS`` with a letter put
+    in front of one side and a variable in front of the other."""
+    e = draw(st.one_of(EQUATIONS, LONG_EQUATIONS))
+    letter, variable = draw(st.sampled_from("AB")), draw(st.sampled_from("xyz"))
+    return E(letter + e.lhs, variable + e.rhs) if draw(st.booleans()) else E(variable + e.lhs, letter + e.rhs)
+
+
+@SETTINGS
+@given(renamed(letter_against_variable()))
+def test_split_scan_equals_reference_after_a_letter_against_a_variable(e):
+    # the letters read differ from the first position on, so the scan looks
+    # for a stretch to skip after one position, not after a window
+    n = min(len(e.lhs), len(e.rhs))
+    if n >= 2:
+        assert _split_scan(e.lhs, e.rhs, 0, n) == reference.split_scan(e.lhs, e.rhs, exclude_full=False), e
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -113,6 +113,20 @@ def test_repeated_pieces_are_scanned_once(monkeypatch):
         assert len(calls) <= 2, scheme
 
 
+def test_whole_window_split_returns_the_equation(monkeypatch):
+    # the shortest var-permutated prefix pair of B z^300 = z^300 B is both
+    # whole sides: one scan, then no copy skip, strip or right scan
+    e = E("B" + "z" * 300, "z" * 300 + "B")
+    calls = []
+    scan, strip = rewrite._split_scan, rewrite._strip
+    monkeypatch.setattr(rewrite, "_split_scan", lambda *args: calls.append(args) or scan(*args))
+    monkeypatch.setattr(rewrite, "_strip", lambda *args: calls.append(args) or strip(*args))
+    assert simplify_equation(Scheme.COUNT, e) == [e]
+    assert calls == [(e.lhs, e.rhs, 0, 301)]
+    for scheme in (Scheme.SPLIT, Scheme.COUNT):
+        assert rewrite._split_pieces(scheme, e) == list(dict.fromkeys(split_pieces(scheme, e))) == [E("", ""), e]
+
+
 # the systems of the long_labels benchmark workload
 LONG_LABEL_SYSTEMS = [
     "x B x = A y x x y y",
