@@ -130,8 +130,8 @@ Program = Tuple[Narrowing, ...]
 
 
 def check_alphabet(alphabet: Iterable[str]) -> List[str]:
-    """The alphabet sorted; ``ValueError`` unless each symbol is one letter A-Z."""
-    symbols = sorted(alphabet)
+    """The alphabet's distinct symbols sorted; ``ValueError`` unless each is one letter A-Z."""
+    symbols = sorted(set(alphabet))
     for a in symbols:
         if a not in LETTERS:
             raise ValueError(f"alphabet symbol {a!r} is not a letter A-Z")
@@ -166,10 +166,10 @@ def apply_to_word(n: Narrowing, w: Word) -> Word:
 
 
 def ground_words(alphabet: Iterable[str], max_len: int) -> list:
-    """All ground words over the alphabet up to the bound, shortest first,
-    lexicographic within a length; ``ValueError`` rather than list more
-    than ``MAX_GROUND_WORDS`` letters, so also more words than that."""
-    alphabet = sorted(alphabet)
+    """All ground words over the alphabet's distinct letters up to the bound,
+    shortest first, lexicographic within a length; ``ValueError`` rather than
+    list more than ``MAX_GROUND_WORDS`` letters, so also more words than that."""
+    alphabet = sorted(set(alphabet))
     out = [""]
     layer = [""]
     letters = 0

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
 from math import prod
-from typing import Callable, Dict, FrozenSet, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .core import (
+    LETTERS,
     MAX_GROUND_WORDS,
     Program,
     Word,
@@ -68,14 +69,16 @@ def enumerate_solutions(
     """Ground solutions reachable by accepting walks of bounded length.
 
     Walks of up to ``max_path_len`` edges (back edges unrolled) are states
-    (node, values, empty), visited breadth first.  ``empty`` holds the
-    variables the value bound forces empty, erased from the values: a value
-    with ``n`` letters and ``k > max_value_len - n`` occurrences of ``x`` is
-    at least ``n + k |x|`` long.  Letters enter a value only by ``x -> A x``,
-    which then fits the room left, so no value exceeds ``max_value_len``
-    letters.  Repeated states (the first visit had as much path budget left)
-    are pruned.  Negative bounds and non-letter alphabet symbols raise
-    ``ValueError``.
+    (node, values, empty), visited breadth first; a node's out-edges are
+    tabled when the walk first meets it.  ``empty`` holds the variables the
+    value bound forces empty, erased from the values: a value with ``n``
+    letters and ``k > max_value_len - n`` occurrences of ``x`` is at least ``n
+    + k |x|`` long.  Letters enter a value only by ``x -> A x``, which then
+    fits the room left, so no value exceeds ``max_value_len`` letters.
+    Repeated states (the first visit had as much path budget left) are pruned.
+    Each distinct value tuple at a T-leaf is instantiated once; a lone residual
+    variable needs no length check, as the room left caps its words.  Negative
+    bounds and non-letter alphabet symbols raise ``ValueError``.
     """
     if max_value_len < 0 or max_path_len < 0:
         raise ValueError("enumeration bounds must not be negative")
@@ -83,63 +86,70 @@ def enumerate_solutions(
     if alphabet is None:
         alphabet = system_letters(graph.system)
     words = cache(partial(ground_words, check_alphabet(alphabet)))
-    labels, out_edges = graph.labels, cache(graph.out_edges)
-    found: Set[Tuple[Word, ...]] = set()
+    labels, out_edges = graph.labels, graph.out_edges
+    edges = cache(lambda nid: None if labels[nid].is_accepted else [(n, n and n.target, c) for n, c in out_edges(nid)])
+    found, done = set(), set()  # the ground value tuples, and the leaf ones instantiated so far
     frontier = [_normal(graph.root, tuple(variables), frozenset(), max_value_len)]
     seen = set(frontier)
     depth = 0
     while frontier:
         next_frontier = []
         for nid, values, empty in frontier:
-            if labels[nid].is_accepted:
-                _instantiate(values, words, max_value_len, found)
-            elif depth < max_path_len:
-                for narrowing, child in out_edges(nid):
+            out = edges(nid)
+            if out is None and values not in done:  # a T-leaf
+                done.add(values)
+                found.update(_instantiate(values, words, max_value_len))
+            elif out and depth < max_path_len:
+                for narrowing, target, child in out:
                     if narrowing is None:
                         succ = (child, values, empty)
-                    else:  # h = h' . n must keep every variable of ``empty`` empty
-                        forced, x, target = empty, narrowing.var, narrowing.target
-                        if x in empty:
-                            if target.isupper():
-                                continue
-                            forced = empty | {target} if target else empty - {x}
-                        new_values = tuple(apply_to_word(narrowing, v) for v in values)
-                        succ = _normal(child, new_values, forced, max_value_len)
+                    elif narrowing.var not in empty:
+                        new_values = tuple([apply_to_word(narrowing, v) for v in values])
+                        succ = (child, new_values, empty)
+                        if target in empty or max(map(len, new_values)) > max_value_len:
+                            succ = _normal(child, new_values, empty, max_value_len)
+                    elif not target:  # x is forced empty (h = h' . n keeps it so): x -> frees it,
+                        succ = (child, values, empty - {narrowing.var})
+                    elif target.islower():  # x -> y x forces y empty too,
+                        succ = _normal(child, values, empty | {target}, max_value_len)
+                    else:  # and x -> A x cannot keep it empty
+                        continue
                     if succ not in seen:
                         seen.add(succ)
                         next_frontier.append(succ)
         frontier, depth = next_frontier, depth + 1
-    return {Solution.of(dict(zip(variables, values))) for values in found}
+    return {Solution(tuple(zip(variables, values))) for values in found}
 
 
 def _normal(nid: int, values: Tuple[Word, ...], empty: FrozenSet[str], max_value_len: int):
     """The walk state with every forced variable added to ``empty`` and all of
     ``empty`` erased from the values: a variable left in a value ``v`` occurs
-    at most ``max_value_len - letters(v)`` times, so ``x -> A x`` fits."""
+    at most ``max_value_len - letters(v)`` times, so ``x -> A x`` fits.  Only
+    a state with a value over the bound or a variable of ``empty`` needs it."""
     for v in values:
         if len(v) > max_value_len:  # else it has no more variables than room
             spare = max_value_len - letter_count(v)
-            empty = empty.union(x for x in set(v) if x.islower() and v.count(x) > spare)
+            empty = empty.union([x for x in set(v) - LETTERS if v.count(x) > spare])
     if empty:
         table = dict.fromkeys(map(ord, empty))
-        values = tuple(v.translate(table) for v in values)
+        values = tuple([v.translate(table) for v in values])
     return nid, values, empty
 
 
-def _instantiate(values: Tuple[Word, ...], words: Callable, max_value_len: int, out: Set) -> None:
-    """Add every ground instance of the leaf values within the value bound.  A
+def _instantiate(values: Tuple[Word, ...], words: Callable, max_value_len: int) -> List[Tuple[Word, ...]]:
+    """The ground instances of the leaf values within the value bound.  A
     residual variable takes only ``words(r // k)``, the ground words up to the
     least ``r // k`` over the values with room ``r`` holding it ``k`` times.
     ``ValueError`` rather than try more than ``MAX_GROUND_WORDS`` instances."""
-    residual = sorted({c for v in values for c in v if c.islower()})
-    room = [max_value_len - letter_count(v) for v in values]
-    caps = [min(r // v.count(x) for v, r in zip(values, room) if x in v) for x in residual]
-    choices = [words(cap) for cap in caps]
+    residual = sorted(set("".join(values)) - LETTERS)
+    if not residual:  # a walk state holds no more letters than the bound
+        return [values]
+    choices = [words(min((max_value_len - letter_count(v)) // v.count(x) for v in values if x in v)) for x in residual]
+    if len(residual) == 1:  # a value grows to at most (bound - r) + k (r // k) letters, and
+        x = residual[0]  # 10^6 letters over A-Z spell at most 10^6 words: nothing to check
+        return [tuple([v.replace(x, w) for v in values]) for w in choices[0]]
     if prod(map(len, choices)) > MAX_GROUND_WORDS:
         raise ValueError(f"more than {MAX_GROUND_WORDS} ground instances of a solution")
-    keys = [ord(x) for x in residual]
-    for combo in product(*choices):
-        table = dict(zip(keys, combo))
-        ground = tuple(v.translate(table) for v in values)
-        if all(len(v) <= max_value_len for v in ground):
-            out.add(ground)
+    tables = (dict(zip(map(ord, residual), combo)) for combo in product(*choices))
+    grounds = (tuple([v.translate(table) for v in values]) for table in tables)
+    return [ground for ground in grounds if max(map(len, ground)) <= max_value_len]

@@ -147,6 +147,21 @@ def test_enumerate_refuses_too_many_ground_words(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+def test_repeated_alphabet_letters_count_once(tmp_path, capsys):
+    # "AA" is the alphabet "A": the same solutions, not a refusal for the
+    # ground words over twice as many letters (or 6^6 times the assignments)
+    path = write(tmp_path, "comm.eq", "x y = y x\n")
+    for command, max_len, repeated in (("enumerate", "20", "AA"), ("oracle", "6", "AAAAAA")):
+        outputs = []
+        for alphabet in (repeated, "A"):
+            assert main([command, path, "--max-len", max_len, "--alphabet", alphabet]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 49
+
+
 def test_enumerate_unsat(tmp_path, capsys):
     path = write(tmp_path, "unsat.eq", "x x A y B z = A x x z y\n")
     code = main(["enumerate", path, "--scheme", "count"])

@@ -9,6 +9,7 @@ from wordeq.core import (
     Narrowing,
     SystemState,
     apply_to_word,
+    check_alphabet,
     MAX_GROUND_WORDS,
     eps,
     ground_words,
@@ -132,6 +133,10 @@ def test_ground_words():
     for alphabet, max_len in (("AB", 16), ("A", 1414), ("A", 10**9)):
         with pytest.raises(ValueError, match=f"more than {MAX_GROUND_WORDS} letters"):
             ground_words(alphabet, max_len)
+    # a repeated letter counts once, in the words and in the cap
+    assert ground_words("BAAB", 2) == ground_words("AB", 2)
+    assert len(ground_words("AA", 1413)) == 1414
+    assert check_alphabet("BAAB") == check_alphabet(["B", "A"]) == ["A", "B"]
     # no letters, no words but the empty one, however large the bound
     assert ground_words("", 10**9) == [""]
 

@@ -1,14 +1,17 @@
 import random
+from functools import partial
 
 import pytest
 
-from wordeq.core import Equation, eps, prepend_letter
+from wordeq import solutions
+from wordeq.core import MAX_GROUND_WORDS, Equation, eps, ground_words, letter_count, prepend_letter
 from wordeq.graph import Budget, build
 from wordeq.oracle import brute_solutions, satisfies
 from wordeq.parse import parse_system
 from wordeq.rewrite import Scheme
 from wordeq.solutions import Solution, enumerate_solutions, min_witness
 from wordeq.witness import verify
+import reference
 from reference import extract_program
 
 E = Equation
@@ -97,6 +100,52 @@ def test_enumerate_values_growing_by_variables():
     assert len(want) == 93
     for max_path in (28, 40):
         assert enumerate_solutions(graph, 2, max_path, "AB") == want
+
+
+def test_enumerate_counts_repeated_alphabet_letters_once():
+    system = parse_system("x y = y x")
+    graph = build(system, Scheme.COUNT).graph
+    assert enumerate_solutions(graph, 20, 24, "AA") == enumerate_solutions(graph, 20, 24, "A")
+    assert len(brute_solutions(system, "AAAAAA", 6)) == 49
+    assert brute_solutions(system, "ABBA", 2) == brute_solutions(system, "AB", 2)
+
+
+# Accepting value tuples of (p, q, r, ...) as a walk may reach them: with no
+# residual variable, with one that occurs several times in several values, and
+# with two.  A walk state holds no more letters than the value bound, so each
+# is instantiated at the bounds 0-3 that it fits.
+LEAF_VALUES = {
+    0: [("", "", ""), ("AB", "", "BA"), ("A", "B")],
+    1: [("xx", "x", ""), ("xAx", "xBx", "x"), ("Ax", "xx", "BxxA")],
+    2: [("xy", "yx"), ("xAy", "yBx", "x"), ("xxy", "yy", "A")],
+}
+
+
+@pytest.mark.parametrize("residual", sorted(LEAF_VALUES))
+def test_instantiate_equals_reference(residual):
+    words = partial(ground_words, "AB")
+    branches = set()
+    for values in LEAF_VALUES[residual]:
+        names = "pqrs"[: len(values)]
+        for bound in range(4):
+            if max(map(letter_count, values)) > bound:
+                continue
+            _, leaf, _ = solutions._normal(0, values, frozenset(), bound)  # erase what the bound forces empty
+            branches.add(len(set("".join(leaf)) - set("AB")))
+            want = set()
+            reference._instantiate(names, values, "AB", bound, want)
+            assert set(solutions._instantiate(leaf, words, bound)) == {tuple(v for _, v in s.items) for s in want}
+    assert residual in branches
+
+
+def test_instantiate_refusals():
+    words = partial(ground_words, "AB")
+    # one residual variable: its words up to length 30 are refused before any is listed
+    with pytest.raises(ValueError, match=f"more than {MAX_GROUND_WORDS} letters in the ground words"):
+        solutions._instantiate(("x", "Ax", ""), words, 30)
+    # two: 8191 words each, too many pairs
+    with pytest.raises(ValueError, match=f"more than {MAX_GROUND_WORDS} ground instances of a solution"):
+        solutions._instantiate(("xy", "yx"), words, 12)
 
 
 def test_min_witness(fig3b):
