@@ -20,8 +20,11 @@ A build passes that step a memo it drops on return, mapping ``(equation,
 variable, target)`` to the substituted equation's pieces, ``None`` for a
 contradiction.  Keys hold the parent's equation, so no substituted word is
 kept; a contradiction writes only its own key, so no discarded label's
-pieces are.  One-equation labels, each unfolded once per build, skip it;
-other unfolds without one (the root's, ``verify``'s) use a throwaway one.
+pieces are.  An unfold reads the memo for every touched equation before it
+simplifies any, and a remembered contradiction ends it there; it then
+simplifies the misses shortest first, the cheapest refutation first.
+One-equation labels, each unfolded once per build, skip the memo; other
+unfolds without one (the root's, ``verify``'s) use a throwaway one.
 """
 
 from __future__ import annotations
@@ -280,6 +283,13 @@ def simplify_equation(scheme: Scheme, eq: Equation) -> Optional[List[Equation]]:
     return pieces
 
 
+def _miss_size(miss: Tuple[int, tuple]) -> int:
+    """Terms of the equation of a memo miss ``(position, key)`` of ``_unfold``;
+    a module-level key function, as a lambda made per unfold costs more."""
+    eq = miss[1][0]
+    return len(eq.lhs) + len(eq.rhs)
+
+
 def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Optional[dict] = None) -> SystemState:
     """Simplify ``s``, or with a narrowing, the state it substitutes to.
 
@@ -292,6 +302,12 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Option
     discards the whole list and yields the contradiction state; an empty
     final list is accepted.  ``memo`` is a build's equation memo; several
     equations unfolded without one go through a throwaway memo.
+
+    Several equations take two passes.  The first reads the memo for each
+    touched equation in label order, simplifies nothing and returns at once
+    on a remembered contradiction.  The second simplifies the misses,
+    shortest first (ties in label order), up to the first contradiction,
+    and puts each miss's pieces at its place in the label.
     """
     if s.kind is not EQS:
         raise ValueError(f"cannot simplify a {s.kind.value} state")
@@ -308,20 +324,38 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Option
         return SystemState.of(pieces) if pieces else ACCEPTED
     memo = {} if memo is None else memo
     out: List[Equation] = []
-    new: dict = {}  # a contradiction's key goes in the memo at once, the others on success
+    misses = []  # (position in out, key) of each touched equation the memo lacks, in label order
     for eq in equations:
         if var not in eq.lhs and var not in eq.rhs:  # without a narrowing, var is "", in every word
             out.append(eq)
             continue
         pieces = memo.get(key := (eq, var, target), False)
-        if pieces is False:
-            eq = _equation((eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement)))
-            pieces = simplify_equation(scheme, eq)
-            (new if pieces is not None else memo)[key] = pieces
         if pieces is None:
             return CONTRADICTION
-        out.extend(pieces)
-    memo.update(new)
+        if pieces is False:
+            misses.append((len(out), key))
+        else:
+            out.extend(pieces)
+    if len(misses) == 1:
+        pos, key = misses[0]
+        eq = key[0]
+        pieces = simplify_equation(scheme, _equation((eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement))))
+        memo[key] = pieces
+        if pieces is None:
+            return CONTRADICTION
+        out[pos:pos] = pieces
+    elif misses:
+        new = {}  # a contradiction's key goes in the memo at once, the others on success
+        for _, key in sorted(misses, key=_miss_size):  # the shortest equation is the cheapest to refute
+            eq = key[0]
+            pieces = simplify_equation(scheme, _equation((eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement))))
+            if pieces is None:
+                memo[key] = None
+                return CONTRADICTION
+            new[key] = pieces
+        memo.update(new)
+        for pos, key in reversed(misses):  # a later miss first, so each recorded position still holds
+            out[pos:pos] = new[key]
     return SystemState.of(dict.fromkeys(out)) if out else ACCEPTED
 
 

@@ -291,19 +291,36 @@ def test_budget_refusal_unfolds_nothing(step_calls):
     assert step_calls == []
 
 
-def touched_keys(s, n, scheme):
-    """The memo keys ``(equation, variable, target)`` an unfold of ``s`` by
-    ``n`` reads: the equations ``n`` substitutes, in label order, up to the
-    first one that simplifies to a contradiction."""
-    keys = []
+def memo_model_unfold(s, n, scheme, known):
+    """An unfold of ``s`` by ``n`` as its build's memo sees it, given
+    ``known``: the memo's keys ``(equation, variable, target)``, each mapped
+    to whether it is a contradiction.
+
+    The equations ``n`` substitutes are read in label order, and a known
+    contradiction ends the unfold before anything is simplified.  Otherwise
+    those not yet known are simplified shortest first, ties in label order,
+    up to the first contradiction, whose key alone is then added; when none
+    contradicts, all their keys are.  Returns the memo hits, the substituted
+    equations simplified in call order, the entries added, and whether the
+    unfold ends in a contradiction."""
     replacement = n.target + n.var if n.target else ""
+    hits, misses = 0, []
     for eq in s.equations:
         if n.var in eq.lhs or n.var in eq.rhs:
-            keys.append((eq, n.var, n.target))
-            substituted = E(eq.lhs.replace(n.var, replacement), eq.rhs.replace(n.var, replacement))
-            if rewrite_module.simplify_equation(scheme, substituted) is None:
-                break
-    return keys
+            key = (eq, n.var, n.target)
+            if key not in known:
+                misses.append(key)
+                continue
+            hits += 1
+            if known[key]:
+                return hits, [], {}, True
+    simplified = []
+    for key in sorted(misses, key=lambda key: len(key[0].lhs) + len(key[0].rhs)):
+        eq = key[0]
+        simplified.append(E(eq.lhs.replace(n.var, replacement), eq.rhs.replace(n.var, replacement)))
+        if rewrite_module.simplify_equation(scheme, simplified[-1]) is None:
+            return hits, simplified, {key: True}, True
+    return hits, simplified, dict.fromkeys(misses, False), False
 
 
 def test_equation_memo_calls_and_lifetime(monkeypatch):
@@ -323,7 +340,7 @@ def test_equation_memo_calls_and_lifetime(monkeypatch):
     def step(s, n, scheme, memo):
         before = len(simplified)
         child = unfold(s, n, scheme, memo)
-        unfolds.append((s, n, child, len(simplified) - before))
+        unfolds.append((s, n, child, simplified[before:]))
         memos.append(memo)
         return child
 
@@ -334,17 +351,19 @@ def test_equation_memo_calls_and_lifetime(monkeypatch):
     assert all(m is memo for m in memos)
     with monkeypatch.context() as m:
         m.setattr(rewrite_module, "simplify_equation", simplify_equation)
-        kept, hits, multi = set(), 0, 0
+        known, hits, multi = {}, 0, 0
         for s, n, child, calls in unfolds:
             if len(s.equations) == 1:
-                assert calls == 1
+                assert len(calls) == 1
                 continue
             multi += 1
-            keys = touched_keys(s, n, Scheme.COUNT)
-            assert calls == len(set(keys) - kept)
-            hits += len(keys) - calls
-            kept.update(keys if child is not CONTRADICTION else keys[-1:])
-    assert set(memo) == kept
+            read, want, added, refuted = memo_model_unfold(s, n, Scheme.COUNT, known)
+            assert calls == want
+            assert (child is CONTRADICTION) == refuted
+            hits += read
+            known.update(added)
+    assert set(memo) == set(known)
+    assert {key for key, pieces in memo.items() if pieces is None} == {key for key, refuted in known.items() if refuted}
     assert multi > 200 and hits > 200  # the labels do share equations
     assert len(simplified) < len(unfolds)
     # the memo dies with its build: nothing else holds it, and a second
@@ -354,7 +373,7 @@ def test_equation_memo_calls_and_lifetime(monkeypatch):
     first = list(simplified)
     build(system, Scheme.COUNT, Budget(max_nodes=300))
     assert simplified[len(first) :] == first
-    assert memos[0] is not memo and set(memos[0]) == kept
+    assert memos[0] is not memo and set(memos[0]) == set(known)
 
 
 def test_one_equation_builds_leave_the_memo_empty(monkeypatch):

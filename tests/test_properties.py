@@ -3,10 +3,13 @@ of the count check (these four over ``ABxyz``, and again with the terms
 renamed onto all of ``a``-``z`` and ``A``-``Z``), of the count check on
 equal-length sides, of split scans that start with a letter against a
 variable, of duplicate-free labels, of unfolds with and without an
-equation memo, of graph edges against the unfold step, of builds against
-the reference build, of witnesses against a breadth-first walk, of bounded
-enumeration, and of verdicts against witnesses and the oracle."""
+equation memo, of unfolds of mixed-length labels with a memo filled by
+earlier unfolds against substitution then simplification, of graph edges
+against the unfold step, of builds against the reference build, of
+witnesses against a breadth-first walk, of bounded enumeration, and of
+verdicts against witnesses and the oracle."""
 
+import random
 from string import ascii_lowercase, ascii_uppercase
 from unittest.mock import patch
 
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 import reference
 from wordeq import rewrite, solutions
-from wordeq.core import ACCEPTED, CONTRADICTION, Equation, SystemState, letter_count
+from wordeq.core import ACCEPTED, CONTRADICTION, Equation, Narrowing, SystemState, letter_count
 from wordeq.graph import SAT, UNSAT, Budget, Node, build, verdict
 from wordeq.narrow import compatible_narrowings, step
 from wordeq.oracle import brute_solutions, satisfies, system_variables
@@ -303,6 +306,47 @@ def test_unfold_with_a_shared_memo_equals_unfold_without(pool, scheme, data):
         if s.is_eqs:
             for n in compatible_narrowings(s):
                 assert _unfold(scheme, s, n, memo) == _unfold(scheme, s, n)
+
+
+@st.composite
+def mixed_length_labels(draw, scheme):
+    """A label of two to four equations in drawn order, at least one short
+    and one long: its touched equations are simplified out of label order.
+    A long side holds 20 to 300 variables over ``xyz`` with up to four
+    letters put in, made by a ``Random`` of a drawn seed, as text draws of
+    that size are slow."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def sparse_word():
+        word = rng.choices("xyz", k=rng.randint(20, 300))
+        for _ in range(rng.randint(0, 4)):
+            word.insert(rng.randint(0, len(word)), rng.choice("AB"))
+        return "".join(word)
+
+    short, long = st.builds(E, SIDES, SIDES), st.builds(lambda: E(sparse_word(), sparse_word()))
+    system = [draw(short), draw(long)] + draw(st.lists(st.one_of(short, long), max_size=2))
+    s = simplify(scheme, SystemState.of(draw(st.permutations(system))))
+    assume(s.is_eqs and len(s.equations) >= 2)
+    return s
+
+
+@SETTINGS
+@given(st.sampled_from([Scheme.SPLIT, Scheme.COUNT]), st.data())
+def test_unfold_with_a_filled_memo_equals_substitute_then_simplify(scheme, data):
+    # Earlier unfolds of labels made of some of the label's equations fill
+    # the memo, contradictions included, before the label itself unfolds.
+    s = data.draw(mixed_length_labels(scheme))
+    narrowings = compatible_narrowings(s)
+    memo = {}
+    for _ in range(data.draw(st.integers(0, 3))):
+        sub = data.draw(st.lists(st.sampled_from(s.equations), min_size=2, max_size=3, unique=True))
+        for n in narrowings:
+            _unfold(scheme, SystemState.of(sub), n, memo)
+    for n in narrowings:
+        assert _unfold(scheme, s, n, memo) == simplify(scheme, reference.apply_to_state(n, s)), n
+    for (eq, var, target), pieces in memo.items():
+        (substituted,) = reference.apply_to_state(Narrowing(var, target), SystemState.of([eq])).equations
+        assert pieces == simplify_equation(scheme, substituted)
 
 
 @SETTINGS

@@ -177,6 +177,55 @@ def test_contradiction_leaves_only_its_key_in_the_memo():
     assert set(memo) == {(E("xB", "By"), "x", "A"), (E("xA", "Ax"), "x", ""), (E("xB", "By"), "x", "")}
 
 
+# x y^8 A = A y^8 x and x A = A x survive x -> A x, x B = B y clashes under
+# it, and y A = A y is left untouched
+LONG = E("xyyyyyyyyA", "Ayyyyyyyyx")
+X_TO_AX = prepend_letter("x", "A")
+
+
+def simplified_equations(monkeypatch):
+    """The equations ``simplify_equation`` receives from here on."""
+    calls = []
+    simplify_equation = rewrite.simplify_equation
+    monkeypatch.setattr(rewrite, "simplify_equation", lambda scheme, eq: calls.append(eq) or simplify_equation(scheme, eq))
+    return calls
+
+
+def test_a_short_contradiction_is_simplified_before_a_longer_equation(monkeypatch):
+    s = simplify(Scheme.COUNT, SystemState.of([LONG, E("xB", "By")]))
+    assert s.equations == (LONG, E("xB", "By"))
+    calls, memo = simplified_equations(monkeypatch), {}
+    assert _unfold(Scheme.COUNT, s, X_TO_AX, memo) is CONTRADICTION
+    assert calls == [E("AxB", "By")]
+    assert memo == {(E("xB", "By"), "x", "A"): None}
+
+
+def test_a_known_contradiction_ends_the_unfold_before_any_simplification(monkeypatch):
+    # the contradiction is the last touched equation, after an equation the
+    # memo lacks
+    s = simplify(Scheme.COUNT, SystemState.of([LONG, E("yA", "Ay"), E("xB", "By")]))
+    assert s.equations == (LONG, E("yA", "Ay"), E("xB", "By"))
+    memo = {(E("xB", "By"), "x", "A"): None}
+    calls = simplified_equations(monkeypatch)
+    assert _unfold(Scheme.COUNT, s, X_TO_AX, memo) is CONTRADICTION
+    assert calls == []
+    assert memo == {(E("xB", "By"), "x", "A"): None}
+
+
+def test_pieces_of_misses_simplified_shortest_first_keep_label_order(monkeypatch):
+    # the untouched y A = A y stays between the two substituted equations
+    s = simplify(Scheme.COUNT, SystemState.of([LONG, E("yA", "Ay"), E("xA", "Ax")]))
+    assert s.equations == (LONG, E("yA", "Ay"), E("xA", "Ax"))
+    substituted = [E(e.lhs.replace("x", "Ax"), e.rhs.replace("x", "Ax")) for e in (LONG, E("xA", "Ax"))]
+    long_pieces, short_pieces = (simplify_equation(Scheme.COUNT, e) for e in substituted)
+    assert long_pieces == [E("xyyyyyyyyA", "yyyyyyyyAx")] and short_pieces == [E("xA", "Ax")]
+    calls, memo = simplified_equations(monkeypatch), {}
+    label = _unfold(Scheme.COUNT, s, X_TO_AX, memo)
+    assert label == SystemState.of(long_pieces + [E("yA", "Ay")] + short_pieces) == _unfold(Scheme.COUNT, s, X_TO_AX)
+    assert calls == substituted[::-1] * 2  # shortest first, with this memo and with a throwaway one
+    assert memo == {(LONG, "x", "A"): long_pieces, (E("xA", "Ax"), "x", "A"): short_pieces}
+
+
 def test_count_unsat():
     assert count_unsat(E("yBz", "zy"))
     assert not count_unsat(E("xxA", "Axx"))
