@@ -59,7 +59,7 @@ class SystemState(NamedTuple("_State", [("kind", StateKind), ("equations", Tuple
 
     @staticmethod
     def of(equations: Iterable[Equation]) -> "SystemState":
-        return tuple.__new__(SystemState, (EQS, tuple(equations)))  # without __new__'s check
+        return tuple.__new__(SystemState, (EQS, tuple(equations)))  # without __new__'s check: decide 1.04x
 
     @property
     def is_eqs(self) -> bool:
@@ -74,7 +74,7 @@ class SystemState(NamedTuple("_State", [("kind", StateKind), ("equations", Tuple
         return self.kind is _CONTRADICTION
 
 
-EQS, _ACCEPTED, _CONTRADICTION = StateKind  # a global reads ten times faster than StateKind.EQS
+EQS, _ACCEPTED, _CONTRADICTION = StateKind  # globals, not class reads: decide 1.05x, long_labels 1.03x
 ACCEPTED = SystemState(_ACCEPTED)
 CONTRADICTION = SystemState(_CONTRADICTION)
 

@@ -2,25 +2,11 @@
 Solution-graph construction: depth-first unfolding of system states with
 folding back to an equal-labelled ancestor, under node/depth budgets.
 
-A node whose label textually equals the label of one of its ancestors is
-closed by a back edge to that ancestor instead of being expanded; its
-subtree would repeat the ancestor's.  Equal labels on *different* paths
-are deliberately not merged, so back edges always point to proper
-ancestors.  They do share one expansion per build: the narrowings
-and child labels of a label are computed the first time a node with that
-label is expanded, and every later node with an equal label gets its own
-new children from that table.  One table keyed by a label's equation tuple
-holds, per label, the node of the current path expanded with it, the one
-object equal labels share, and that expansion; narrowings are cached per
-first-term pair.  Equal equations in different labels share the equation
-memo of ``rewrite``, made and dropped in ``build``.  A graph is ``labels``
-(node id -> label), an expansion log of two ``array('l')``, ``expanded``
-(the expanded nodes in expansion order) and ``firsts`` (the first child of
-each; its children are consecutive ids in narrowing order), ``folds`` (a
-folded node's target) and ``witness``: the program of the tree path to the
-T-leaf of least ``(depth, id)``, recorded by the build when it makes that
-leaf.  ``nodes``, the ``Node(id, label, depth)`` list, is derived from the
-log on each read.
+A node whose label equals an ancestor's is closed by a back edge to it, as
+its subtree would repeat the ancestor's.  Equal labels on different paths
+are not merged, so back edges point to proper ancestors; they share one
+expansion per build instead, so each distinct label is unfolded once.  The
+graph's fields say what a graph holds; ``nodes`` is derived from them.
 """
 
 from __future__ import annotations
@@ -71,7 +57,7 @@ class SolutionGraph:
     root = 0
 
     @cached_property
-    def _first_child(self) -> Dict[int, int]:  # made once: callers call out_edges per node
+    def _first_child(self) -> Dict[int, int]:  # made once, not per out_edges call: to_dot(prune=True), 4001 nodes, 60x
         return dict(zip(self.expanded, self.firsts))
 
     def out_edges(self, nid: int) -> List[Tuple[Optional[Narrowing], int]]:
@@ -107,8 +93,7 @@ class SolutionGraph:
     @property
     def nodes(self) -> List[Node]:
         """The nodes, made anew on each read."""
-        new_node = partial(tuple.__new__, Node)  # a Node, without Node's Python-level __new__
-        return list(map(new_node, zip(count(), self.labels, self._depths())))
+        return list(map(Node._make, zip(count(), self.labels, self._depths())))
 
     def t_leaves(self) -> List[int]:
         """The ids of the accepting leaves."""
@@ -151,8 +136,7 @@ def build(
     """
     if not system:
         raise ValueError("empty system")
-    if scheme.__class__ is not Scheme:  # a member's Scheme() call costs a few per cent of a small build
-        scheme = Scheme(scheme)
+    scheme = Scheme(scheme)
     deadline = None if budget.timeout_ms is None else time.monotonic() + budget.timeout_ms / 1000.0
 
     root_label = simplify(scheme, SystemState.of(system))
@@ -167,7 +151,8 @@ def build(
     # its first label (equal labels share that object, so a graph holds each
     # label once), its narrowings, its child labels (None until expanded), the
     # offset of its first accepting child (-1 for none), that node's first child].
-    table: Dict[Tuple[Equation, ...], list] = {root_label.equations: [-1, root_label, None, None, -1, 0]}
+    table: Dict[Tuple[Equation, ...], list] = {
+        root_label.equations: [-1, root_label, compatible_narrowings(root_label), None, -1, 0]}
     memo: dict = {}  # (equation, variable, target) -> pieces; see the rewrite module
     path: List[list] = []  # the entries of the expanded nodes on the current path
     best = budget.max_depth  # the depth of the expansion that made the witness's T-leaf, if any
@@ -196,8 +181,6 @@ def build(
             reason = reason or "timeout"
             continue
         narrowings = entry[2]
-        if narrowings is None:
-            narrowings = entry[2] = compatible_narrowings(label)
         if not narrowings:  # a dead end: there is nothing to expand, at any depth
             continue
         depth = len(path)  # a node is entered with exactly its expanded ancestors on the path
@@ -218,7 +201,7 @@ def build(
                 c = step(label, n, scheme, memo)
                 known = c.equations and table.get(c.equations)  # () for a leaf
                 if known is None:
-                    table[c.equations] = [-1, c, None, None, -1, 0]
+                    table[c.equations] = [-1, c, compatible_narrowings(c), None, -1, 0]
                 made.append(known[1] if known else c)
             entry[4] = next((i for i, c in enumerate(made) if c is ACCEPTED), -1)
         expanded.append(nid)
@@ -290,5 +273,5 @@ def to_dot(graph: SolutionGraph, prune: bool = False) -> str:
     for src, dst in back_edges:
         if src in keep and dst in keep:
             lines.append(f"  n{src} -> n{dst} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)

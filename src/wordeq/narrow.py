@@ -11,10 +11,10 @@ of elementary steps reach every solution (the classic rules miss e.g.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import Optional, Tuple
 
-from .core import EQS, TERMS, Narrowing, SystemState, eps, prepend_letter, prepend_var
+from .core import EQS, Narrowing, SystemState, eps, prepend_letter, prepend_var
 from .rewrite import Scheme, _unfold
 
 
@@ -34,8 +34,7 @@ def compatible_narrowings(s: SystemState) -> Tuple[Narrowing, ...]:
     return _narrowings(lhs[:1], rhs[:1])
 
 
-# A bounded table: one immutable tuple per pair of first terms (each may be empty).
-@lru_cache(maxsize=len(TERMS | {""}) ** 2)
+@cache  # one immutable tuple per pair of first terms, each a term or empty: at most 53² entries
 def _narrowings(p: str, q: str) -> Tuple[Narrowing, ...]:
     if p.islower() and q.islower():  # two variables
         # Reduction guarantees the sides start with different terms.
@@ -50,11 +49,6 @@ def _narrowings(p: str, q: str) -> Tuple[Narrowing, ...]:
 
 def step(s: SystemState, n: Narrowing, scheme: Scheme, memo: Optional[dict] = None) -> SystemState:
     """One unfold step: apply the narrowing, then simplify the result under
-    ``scheme``, which must be a ``Scheme`` member, not its value.
-
-    ``s`` must be a simplify output (every pipeline state is).  Equations
-    the substitution does not touch are then already simplified, so only
-    the touched ones are reworked; the result equals simplifying the
-    substituted state wholesale.
-    """
+    ``scheme``, a ``Scheme`` member, not its value.  ``s`` must be a simplify
+    output; the result equals simplifying the substituted state."""
     return _unfold(scheme, s, n, memo)

@@ -25,8 +25,7 @@ def verify(p: Iterable[Narrowing], system: Sequence[Equation], scheme: Scheme) -
     uses, and each step is the search's own ``step``, so verifier and graph
     agree by construction.  ``scheme`` is a member or its value.
     """
-    if scheme.__class__ is not Scheme:
-        scheme = Scheme(scheme)
+    scheme = Scheme(scheme)
     state = simplify(scheme, SystemState.of(system)) if system else ACCEPTED
     for n in p:
         if not state.is_eqs:

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -225,6 +226,20 @@ def test_dot_single_leaf_cases():
     assert to_dot(contradiction.graph) == (
         'digraph solution_graph {\n  rankdir=TB;\n  n0 [shape=diamond, label="F"];\n}\n'
     )
+
+
+def test_dot_text_is_copied_once():
+    """``to_dot`` joins its lines once: at its peak it holds the lines and
+    the text, not a second copy of the text as well."""
+    graph = build(parse_system("x x A = A x"), Scheme.BASE, Budget(max_nodes=4001)).graph
+    tracemalloc.start()
+    try:
+        text = to_dot(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.labels) == 4001
+    assert peak <= 2.6 * len(text), peak / len(text)
 
 
 def test_dot_prune_drops_rejecting_branches():
