@@ -287,23 +287,14 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Option
             misses.append((len(out), key))
         else:
             out.extend(pieces)
-    if len(misses) == 1:  # dup_labels 1.05x, long_labels 1.03x
-        pos, key = misses[0]
+    for _, key in misses:
         eq = key[0]
-        pieces = simplify_equation(scheme, _equation((eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement))))
-        memo[key] = pieces
+        pieces = memo[key] = simplify_equation(
+            scheme, _equation((eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement))))
         if pieces is None:
             return CONTRADICTION
-        out[pos:pos] = pieces
-    elif misses:
-        for _, key in misses:
-            eq = key[0]
-            pieces = memo[key] = simplify_equation(
-                scheme, _equation((eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement))))
-            if pieces is None:
-                return CONTRADICTION
-        for pos, key in reversed(misses):  # a later miss first, so each recorded position still holds
-            out[pos:pos] = memo[key]
+    for pos, key in reversed(misses):  # a later miss first, so each recorded position still holds
+        out[pos:pos] = memo[key]
     return SystemState.of(dict.fromkeys(out)) if out else ACCEPTED
 
 

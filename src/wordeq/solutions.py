@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import repeat
 from math import prod
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from .core import (
     LETTERS,
@@ -127,7 +128,7 @@ def _normal(nid: int, values: Tuple[Word, ...], empty: FrozenSet[str], max_value
     return nid, values, empty
 
 
-def _instantiate(values: Tuple[Word, ...], words: Callable, max_value_len: int) -> List[Tuple[Word, ...]]:
+def _instantiate(values: Tuple[Word, ...], words: Callable, max_value_len: int) -> Iterable[Tuple[Word, ...]]:
     """The ground instances of the leaf values within the value bound.  A
     residual variable takes only ``words(r // k)``, the ground words up to the
     least ``r // k`` over the values with room ``r`` holding it ``k`` times, so
@@ -139,8 +140,8 @@ def _instantiate(values: Tuple[Word, ...], words: Callable, max_value_len: int) 
     if prod(map(len, choices)) > MAX_GROUND_WORDS:
         raise ValueError(f"more than {MAX_GROUND_WORDS} ground instances of a solution")
     grounds = [values]
-    for x, choice in zip(residual, choices):
-        grounds = [tuple([v.replace(x, w) for v in ground]) for ground in grounds for w in choice]
+    for step in zip(residual, choices):  # generators, so no product is held; zip binds each to its own step
+        grounds = (tuple([v.replace(x, w) for v in ground]) for (x, choice), ground in zip(repeat(step), grounds) for w in choice)
     if len(residual) > 1:  # a lone variable needs no filter, and filtering anyway costs enumerate 1.05x
-        grounds = [ground for ground in grounds if max(map(len, ground)) <= max_value_len]
+        grounds = (ground for ground in grounds if max(map(len, ground)) <= max_value_len)
     return grounds

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -118,6 +119,7 @@ LEAF_VALUES = {
     0: [("", "", ""), ("AB", "", "BA"), ("A", "B")],
     1: [("xx", "x", ""), ("xAx", "xBx", "x"), ("Ax", "xx", "BxxA")],
     2: [("xy", "yx"), ("xAy", "yBx", "x"), ("xxy", "yy", "A")],
+    3: [("xyz", "zx", "y"), ("xAz", "yy")],
 }
 
 
@@ -136,6 +138,21 @@ def test_instantiate_equals_reference(residual):
             reference._instantiate(names, values, "AB", bound, want)
             assert set(solutions._instantiate(leaf, words, bound)) == {tuple(v for _, v in s.items) for s in want}
     assert residual in branches
+
+
+def test_instantiate_holds_no_more_than_the_instances_it_keeps():
+    # x y = y x at bound 8 leaves 511 words for each of x and y: 261 121 pairs,
+    # of which the 4 097 whose lengths sum to at most 8 are kept, 3 441 instances
+    words = partial(ground_words, "AB")
+    want = {(a + b, b + a) for a in words(8) for b in words(8) if len(a) + len(b) <= 8}
+    tracemalloc.start()
+    try:
+        got = set(solutions._instantiate(("xy", "yx"), words, 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want and len(want) == 3441
+    assert peak < 2_000_000  # the kept set is under 1 MB; the unfiltered pairs would take over 40 MB
 
 
 def test_instantiate_refusals():
