@@ -18,7 +18,7 @@ from typing import List, NoReturn, Optional
 from . import oracle as oraclemod
 from .core import Equation, check_alphabet
 from .graph import SAT, UNKNOWN, UNSAT, Budget, BuildOutcome, build, to_dot, verdict
-from .parse import ParseError, parse_program, parse_system, serialize_program
+from .parse import parse_program, parse_system, serialize_program
 from .rewrite import Scheme
 from .solutions import enumerate_solutions
 from .witness import verify
@@ -27,7 +27,7 @@ EXIT = {SAT: 0, UNSAT: 1, UNKNOWN: 2}
 ERROR_EXIT = 3
 
 
-def _read_system(path: str) -> List[Equation]:
+def _read_system(path: str | Path) -> List[Equation]:
     return parse_system(Path(path).read_text(encoding="utf-8"))
 
 
@@ -41,7 +41,7 @@ def _add_build_flags(sub: argparse.ArgumentParser) -> None:
 
 def _build(args: argparse.Namespace, system: List[Equation]) -> BuildOutcome:
     budget = Budget(args.max_nodes, args.max_depth, args.timeout_ms)
-    return build(system, Scheme(args.scheme), budget, early_stop=args.early_stop)
+    return build(system, args.scheme, budget, early_stop=args.early_stop)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -76,7 +76,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     system = _read_system(args.eqfile)
     program = parse_program(Path(args.narfile).read_text(encoding="utf-8"))
-    accepted = verify(program, system, Scheme(args.scheme))
+    accepted = verify(program, system, args.scheme)
     print("T" if accepted else "F")
     return 0 if accepted else 1
 
@@ -111,12 +111,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for path in files:
         started = time.monotonic()
         try:
-            system = parse_system(path.read_text(encoding="utf-8"))
-            outcome = _build(args, system)
+            outcome = _build(args, _read_system(path))
             result = verdict(outcome)
             nodes = len(outcome.graph.labels)
             depth = outcome.graph.max_depth()
-        except (OSError, ParseError, ValueError):
+        except (OSError, ValueError):  # a ParseError is a ValueError
             result, nodes, depth = "ERROR", 0, 0
         elapsed_ms = int((time.monotonic() - started) * 1000)
         rows.append([path.name, args.scheme, result, nodes, depth, elapsed_ms])
@@ -185,7 +184,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR_EXIT
 

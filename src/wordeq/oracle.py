@@ -19,7 +19,7 @@ from .solutions import Solution
 def satisfies(system: Sequence[Equation], assignment: Dict[str, Word]) -> bool:
     """Direct substitution check: both sides textually equal, every equation."""
     table = str.maketrans(assignment)
-    return all(e.lhs.translate(table) == e.rhs.translate(table) for e in system)
+    return all(lhs.translate(table) == rhs.translate(table) for lhs, rhs in system)
 
 
 def brute_solutions(

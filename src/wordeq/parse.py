@@ -12,7 +12,7 @@ for node labels: single spaces between terms, no trailing whitespace.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from .core import TERMS, Equation, Narrowing, Program
 
@@ -31,22 +31,13 @@ def parse_system(text: str) -> List[Equation]:
         line = raw.partition("#")[0]
         if not line.strip():
             continue
-        if "=" not in line:
+        lhs, sign, rhs = line.partition("=")
+        if not sign:
             raise ParseError("missing '='", lineno)
-        sides: Tuple[List[str], List[str]] = ([], [])
-        side = 0
-        for col, ch in enumerate(line, start=1):
-            if ch.isspace():
-                continue
-            if ch == "=":
-                side += 1
-                if side > 1:
-                    raise ParseError("duplicate '='", lineno, col)
-                continue
-            if ch not in TERMS:
-                raise ParseError(f"illegal character {ch!r}", lineno, col)
-            sides[side].append(ch)
-        equations.append(Equation("".join(sides[0]), "".join(sides[1])))
+        for col, ch in enumerate(line):  # the first character that is not a term, whitespace or the '=' split on
+            if ch not in TERMS and not ch.isspace() and col != len(lhs):
+                raise ParseError("duplicate '='" if ch == "=" else f"illegal character {ch!r}", lineno, col + 1)
+        equations.append(Equation("".join(lhs.split()), "".join(rhs.split())))
     if not equations:
         raise ParseError("no equations found", 1)
     return equations
@@ -73,7 +64,8 @@ def parse_program(text: str) -> Program:
 
 
 def serialize_equation(e: Equation) -> str:
-    return " ".join([*e.lhs, "=", *e.rhs])
+    lhs, rhs = e
+    return " ".join([*lhs, "=", *rhs])
 
 
 def serialize_system(equations: List[Equation]) -> str:

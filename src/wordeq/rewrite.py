@@ -277,7 +277,7 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Option
     out: List[Equation] = []
     misses = []  # (position in out, key) of each touched equation the memo lacks, in label order
     for eq in equations:
-        if var not in eq.lhs and var not in eq.rhs:  # without a narrowing, var is "", in every word
+        if var not in eq[0] and var not in eq[1]:  # without a narrowing, var is "", in every word
             out.append(eq)
             continue
         pieces = memo.get(key := (eq, var, target), False)
@@ -288,9 +288,9 @@ def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Option
         else:
             out.extend(pieces)
     for _, key in misses:
-        eq = key[0]
+        lhs, rhs = key[0]
         pieces = memo[key] = simplify_equation(
-            scheme, _equation((eq.lhs.replace(var, replacement), eq.rhs.replace(var, replacement))))
+            scheme, _equation((lhs.replace(var, replacement), rhs.replace(var, replacement))))
         if pieces is None:
             return CONTRADICTION
     for pos, key in reversed(misses):  # a later miss first, so each recorded position still holds

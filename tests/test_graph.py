@@ -116,6 +116,26 @@ def test_build_reads_an_iterator_system_once():
         build(iter([]), Scheme.COUNT)
 
 
+@pytest.mark.parametrize("text", ["x A = A x\ny = B", "x A y = y A x\nx B = B x", "x A = B x\ny = y", "A x = x A\nx = x"])
+def test_plain_pairs_act_as_parsed_equations(text):
+    # every reader takes an equation as any (lhs, rhs) pair, not only as an Equation
+    system = parse_system(text)
+    pairs = [(lhs, rhs) for lhs, rhs in system]
+    assert all(type(p) is tuple for p in pairs)
+    for scheme in ("split", "count"):
+        got, want = build(pairs, scheme), build(system, scheme)
+        assert got.graph.labels == want.graph.labels
+        assert got.graph.folds == want.graph.folds
+        assert got.graph.witness == want.graph.witness
+        assert verdict(got) == verdict(want)
+        if want.graph.witness is not None:
+            assert verify(want.graph.witness, pairs, scheme) is verify(want.graph.witness, system, scheme) is True
+        assert verify([Narrowing("x", "")], pairs, scheme) is verify([Narrowing("x", "")], system, scheme)
+        assert simplify(scheme, SystemState.of(pairs)) == simplify(scheme, SystemState.of(system))
+    assert brute_solutions(pairs, None, 2) == brute_solutions(system, None, 2)
+    assert serialize_system(pairs) == serialize_system(system) == text
+
+
 def test_scheme_by_value():
     """Each entry point takes a scheme's value for the member; any other
     value raises, rather than run as some scheme."""

@@ -40,6 +40,24 @@ def test_parse_system_errors():
         parse_system("# only a comment\n")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("x = y = $", ("duplicate '='", 1, 7)),  # the first offending character, not the worst
+    ("x $ = y = z", ("illegal character '$'", 1, 3)),
+    ("A x = = x", ("duplicate '='", 1, 7)),
+    ("\n\nx y = é", ("illegal character 'é'", 3, 7)),
+    ("x\t=\xa0y", [E("x", "y")]),  # any whitespace separates terms
+    ("x = y # a = b $", [E("x", "y")]),  # nothing after '#' is read
+])
+def test_parse_system_reports_the_first_offending_character(text, want):
+    if isinstance(want, list):
+        assert parse_system(text) == want
+        return
+    message, line, column = want
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert (str(err.value), err.value.line, err.value.column) == (f"line {line}, column {column}: {message}", line, column)
+
+
 def test_parse_program():
     assert parse_program("x -> A x\nx ->") == (prepend_letter("x", "A"), eps("x"))
     assert parse_program("y -> x y") == (prepend_var("y", "x"),)
