@@ -24,20 +24,18 @@ from .parse import serialize_equation
 from .rewrite import Scheme, simplify
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple("_Budget", [("max_nodes", int), ("max_depth", int), ("timeout_ms", Optional[float])])):
     """The limits of one build; ``timeout_ms`` (wall time, ``None`` for no
     limit) is checked before every expansion.  A dead end meets no limit."""
 
-    max_nodes: int = 1_000_000
-    max_depth: int = 10_000
-    timeout_ms: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.max_nodes >= 1 and self.max_depth >= 1):  # NaN too
+    def __new__(cls, max_nodes: int = 1_000_000, max_depth: int = 10_000, timeout_ms: Optional[float] = None) -> "Budget":
+        if not (max_nodes >= 1 and max_depth >= 1):  # NaN too
             raise ValueError("budget limits must be positive")
-        if self.timeout_ms is not None and not self.timeout_ms >= 0:  # NaN too
+        if timeout_ms is not None and not timeout_ms >= 0:  # NaN too
             raise ValueError("timeout must not be negative or NaN")
+        return tuple.__new__(cls, (max_nodes, max_depth, timeout_ms))
 
 
 class Node(NamedTuple):
@@ -138,7 +136,8 @@ def build(
     if not system:
         raise ValueError("empty system")
     scheme = Scheme(scheme)
-    deadline = None if budget.timeout_ms is None else time.monotonic() + budget.timeout_ms / 1000.0
+    max_nodes, max_depth, timeout_ms = budget
+    deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000.0
 
     root_label = simplify(scheme, SystemState.of(system))
     labels = [root_label]
@@ -156,7 +155,7 @@ def build(
         root_label.equations: [-1, root_label, compatible_narrowings(root_label), None, -1, 0]}
     memo: dict = {}  # (equation, variable, target) -> pieces; see the rewrite module
     path: List[list] = []  # the entries of the expanded nodes on the current path
-    best = budget.max_depth  # the depth of the expansion that made the witness's T-leaf, if any
+    best = max_depth  # the depth of the expansion that made the witness's T-leaf, if any
     folds = graph.folds
     expanded, firsts = [], []  # the expansion log, in lists until the build ends
 
@@ -185,13 +184,13 @@ def build(
         if not narrowings:  # a dead end: there is nothing to expand, at any depth
             continue
         depth = len(path)  # a node is entered with exactly its expanded ancestors on the path
-        if depth >= budget.max_depth:
+        if depth >= max_depth:
             reason = reason or "max_depth"
             continue
         # The budget is checked before anything is unfolded.
         first = len(labels)
         end = first + len(narrowings)
-        if end > budget.max_nodes:
+        if end > max_nodes:
             halted = True
             reason = reason or "max_nodes"
             continue

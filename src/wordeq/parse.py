@@ -12,9 +12,12 @@ for node labels: single spaces between terms, no trailing whitespace.
 
 from __future__ import annotations
 
+import string
 from typing import List
 
 from .core import TERMS, Equation, Narrowing, Program
+
+_DROP_SYNTAX = str.maketrans("", "", "".join(TERMS) + string.whitespace)
 
 
 class ParseError(ValueError):
@@ -34,9 +37,10 @@ def parse_system(text: str) -> List[Equation]:
         lhs, sign, rhs = line.partition("=")
         if not sign:
             raise ParseError("missing '='", lineno)
-        for col, ch in enumerate(line):  # the first character that is not a term, whitespace or the '=' split on
-            if ch not in TERMS and not ch.isspace() and col != len(lhs):
-                raise ParseError("duplicate '='" if ch == "=" else f"illegal character {ch!r}", lineno, col + 1)
+        if line.translate(_DROP_SYNTAX) != "=":  # else only terms, ASCII whitespace and one '='
+            for col, ch in enumerate(line):  # the first character that is not a term, whitespace or the '=' split on
+                if ch not in TERMS and not ch.isspace() and col != len(lhs):
+                    raise ParseError("duplicate '='" if ch == "=" else f"illegal character {ch!r}", lineno, col + 1)
         equations.append(Equation("".join(lhs.split()), "".join(rhs.split())))
     if not equations:
         raise ParseError("no equations found", 1)

@@ -4,9 +4,12 @@ prefixes and suffixes, and the occurrence-counting unsatisfiability check.
 
 ``BASE`` only reduces, so it takes a single equation; ``SPLIT`` also splits
 each equation at its shortest var-permutated prefixes; ``COUNT`` also splits
-what is left at its shortest var-permutated suffixes and refutes a state
-one of whose pieces the counting check refutes.  The root simplification,
-``narrow.step`` and ``verify`` all run ``_unfold``.
+what is left at its shortest var-permutated suffixes, and first refutes an
+equation whose reduced form the counting check refutes.  That is the same as
+checking each piece: a split piece has equal letter and variable counts on
+both sides and a stripped term is common to both, so the core keeps every
+count difference of the whole.  The root simplification, ``narrow.step``
+and ``verify`` all run ``_unfold``.
 
 A build passes the unfold step a memo it drops on return, from ``(equation,
 variable, target)`` to the substituted equation's pieces, ``None`` for a
@@ -209,7 +212,7 @@ def count_unsat(e: Equation) -> bool:
     letters and at least as many occurrences of every variable, so it is
     longer than the other under every substitution."""
     phi, psi = e
-    if len(phi) == len(psi):  # more letters on a side leave it fewer variables: dup_labels 1.06x
+    if len(phi) == len(psi):  # more letters on a side leave it fewer variables: dup_labels 1.04x
         return False
     surplus = letter_count(phi) - letter_count(psi)
     if surplus == 0:
@@ -228,22 +231,20 @@ def simplify_equation(scheme: Scheme, eq: Equation) -> Optional[List[Equation]]:
 
     The pieces are a fixpoint of this function: they are reduced, a
     shortest split piece admits no further split, and under the counting
-    scheme every surviving piece passes the counting check.
+    scheme every piece passes the counting check, which runs once, on the
+    reduced equation before it is split (see the module docstring).
     """
     reduced = reduce(eq)
     if reduced is None:
         return None
     if scheme is _BASE:  # the reduced equation is the piece
         return [reduced] if reduced != EMPTY_EQUATION else []
+    if scheme is _COUNT and count_unsat(reduced):  # before the split: its pieces keep the count differences
+        return None
     pieces = _split_pieces(scheme, reduced)
     if pieces is None:
         return None
-    pieces = [p for p in pieces if p != EMPTY_EQUATION]
-    if scheme is _COUNT:
-        for p in pieces:
-            if count_unsat(p):
-                return None
-    return pieces
+    return [p for p in pieces if p != EMPTY_EQUATION]
 
 
 def _unfold(scheme: Scheme, s: SystemState, n: Optional[Narrowing], memo: Optional[dict] = None) -> SystemState:

@@ -308,6 +308,12 @@ def test_budget_validation():
         Budget(max_nodes=float("nan"))
     with pytest.raises(ValueError):
         Budget(max_depth=float("nan"))
+    budget = Budget()
+    assert (budget.max_nodes, budget.max_depth, budget.timeout_ms) == (1_000_000, 10_000, None)
+    assert Budget(5, 6, 7.0) == Budget(max_nodes=5, max_depth=6, timeout_ms=7.0)
+    for name in ("max_nodes", "max_depth", "timeout_ms"):
+        with pytest.raises(AttributeError):
+            setattr(budget, name, 1)
 
 
 @pytest.fixture

@@ -47,6 +47,9 @@ def test_parse_system_errors():
     ("\n\nx y = é", ("illegal character 'é'", 3, 7)),
     ("x\t=\xa0y", [E("x", "y")]),  # any whitespace separates terms
     ("x = y # a = b $", [E("x", "y")]),  # nothing after '#' is read
+    ("x\u3000y = A\u3000B", [E("xy", "AB")]),  # non-ASCII whitespace between terms
+    ("x A = y $", ("illegal character '$'", 1, 9)),  # after a valid '='
+    ("x = y = z # a = b", ("duplicate '='", 1, 7)),  # before a comment
 ])
 def test_parse_system_reports_the_first_offending_character(text, want):
     if isinstance(want, list):

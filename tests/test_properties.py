@@ -213,6 +213,18 @@ def test_count_check_equals_reference_over_all_terms(e):
     check_count_check(e)
 
 
+@SETTINGS
+@given(st.one_of(EQUATIONS, LONG_EQUATIONS))
+def test_count_check_of_a_reduced_equation_equals_that_of_its_pieces(e):
+    # the rule simplify_equation relies on: split pieces are var-permutated
+    # and stripped terms are common, so the core keeps every count difference
+    e = reference.reduce(e)
+    assume(e is not None)
+    pieces = reference.split_pieces(Scheme.COUNT, e)
+    if pieces is not None:
+        assert reference.count_unsat(e) == any(reference.count_unsat(p) for p in pieces), (e, pieces)
+
+
 @st.composite
 def equal_length_equations(draw):
     """Two sides of one drawn length up to 200."""

@@ -94,12 +94,25 @@ def test_split_equivalence_against_oracle():
 
 def test_repeated_pieces_are_checked_once(monkeypatch):
     # (xz)^300 = (zx)^300 splits into 300 copies of x z = z x; the label
-    # keeps one, and the counting check runs once
+    # keeps one, and the counting check runs once, on the reduced equation
+    # before it is split
     checked = []
     check = rewrite.count_unsat
     monkeypatch.setattr(rewrite, "count_unsat", lambda e: checked.append(e) or check(e))
     assert simplify_equation(Scheme.COUNT, E("xz" * 300, "zx" * 300)) == [E("xz", "zx")]
-    assert checked == [E("xz", "zx")]
+    assert checked == [E("xz" * 300, "zx" * 300)]
+
+
+def test_a_count_refuted_equation_is_not_split(monkeypatch):
+    # x y A = y x has one more letter on the left and the same variables:
+    # the check refutes it before any split scan
+    calls = []
+    scan = rewrite._split_scan
+    monkeypatch.setattr(rewrite, "_split_scan", lambda *args: calls.append(args) or scan(*args))
+    assert simplify_equation(Scheme.COUNT, E("xyA", "yx")) is None
+    assert calls == []
+    assert simplify_equation(Scheme.SPLIT, E("xyA", "yx")) == [E("A", ""), E("xy", "yx")]  # split, unchecked
+    assert calls
 
 
 def test_repeated_pieces_are_scanned_once(monkeypatch):
